@@ -45,10 +45,10 @@ check: build vet fmt race
 	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
 		./fabric/ ./internal/pad/
 	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
-		-run 'TestFabric|TestDiffFabric' ./internal/faultinject/ ./cmd/benchdiff/ ./tune/
+		-run 'TestFabric|TestDiffFabric' ./internal/faultinject/ ./cmd/benchdiff/
 	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
-		-run 'TestPhaser|TestElastic|TestSweep|TestChurnRegime|TestDiffElastic' \
-		./barrier/ ./sim/ ./omp/ ./fabric/ ./obs/ ./tune/ \
+		-run 'TestPhaser|TestElastic|TestSweep|TestDiffElastic' \
+		./barrier/ ./sim/ ./omp/ ./fabric/ ./obs/ \
 		./internal/faultinject/ ./cmd/benchdiff/
 
 # One quick barrierbench run per wait policy: exercises every wait
@@ -95,11 +95,9 @@ hier-smoke:
 	$(GO) run ./cmd/barrierbench -algos hier,dtour -plist 1024 \
 		-episodes 50 -repeats 1 -wait spinpark
 
-# Barrier fabric smoke: one quick joins/sec sweep through the CLI in
-# both engines (async CAS-arrival vs goroutine-per-waiter) so the
-# speedup line prints, then one -once pass of the fabric server
-# example, which drives a burst of rounds and dumps the /debug/fabric
-# snapshot. Exercises group registry, async arrivals, batched wake-ups
+# Barrier fabric smoke: one quick joins/sec sweep through the CLI,
+# then one -once pass of the fabric server example, which drives a
+# burst of rounds and dumps the /debug/fabric snapshot. Exercises group registry, async arrivals, batched wake-ups
 # and the sampled rollups end to end without the cost of the full
 # acceptance sweep.
 fabric-smoke:
@@ -115,8 +113,8 @@ fabric-smoke:
 # the timed window without the cost of the BENCH_pr10 acceptance sweep.
 elastic-smoke:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
-		-run 'TestPhaser|TestElastic|TestSweep|TestChurnRegime' \
-		./barrier/ ./sim/ ./omp/ ./fabric/ ./obs/ ./tune/ ./internal/faultinject/
+		-run 'TestPhaser|TestElastic|TestSweep' \
+		./barrier/ ./sim/ ./omp/ ./fabric/ ./obs/ ./internal/faultinject/
 	$(GO) run ./cmd/barrierbench -elastic -threads 2,4 -churn 0,1000 \
 		-episodes 5000
 

@@ -4,7 +4,8 @@ package main
 // x membership churn rate) against the fixed-P central barrier on the
 // identical harness. The final ratio column is the acceptance number —
 // steady state (churn 0) must hold within 1.3x of central — and the
-// churn columns feed the tune.ChurnRegime crossover (INSIGHTS §17).
+// churn columns show how round time grows with membership churn
+// (INSIGHTS §17).
 
 import (
 	"encoding/json"

@@ -1,11 +1,8 @@
 package main
 
 // The -fabric mode: sweep the barrier fabric's joins/sec throughput
-// over (mode x groups x participants x arrival rate), the service-side
-// counterpart of the per-episode EPCC tables. "async" is the fabric's
-// CAS-arrival + batched-wake engine, "parked" the goroutine-per-waiter
-// baseline; sweeping both prints the speedup per shape, which is the
-// number the fabric's existence is justified by.
+// over (groups x participants), the service-side counterpart of the
+// per-episode EPCC tables.
 
 import (
 	"encoding/json"
@@ -14,7 +11,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"armbarrier/fabric"
@@ -23,36 +19,26 @@ import (
 
 // runFabric runs the sweep and renders the table (plus the json report
 // when jsonout is set).
-func runFabric(out io.Writer, modes []string, groupsList, pList []int, rates []float64, episodes int, csv bool, jsonout string) error {
+func runFabric(out io.Writer, groupsList, pList []int, episodes int, csv bool, jsonout string) error {
 	tb := table.New(
 		fmt.Sprintf("Barrier fabric throughput (%d episodes per generator)", episodes),
-		"mode", "groups", "P", "rate/s", "joins", "joins/sec", "join p50 ns", "join p99 ns")
+		"groups", "P", "joins", "joins/sec", "join p50 ns", "join p99 ns")
 	var points []fabric.BenchPoint
-	for _, mode := range modes {
-		for _, g := range groupsList {
-			for _, p := range pList {
-				for _, rate := range rates {
-					pt, err := fabric.RunBench(fabric.BenchConfig{
-						Mode:         mode,
-						Groups:       g,
-						Participants: p,
-						Episodes:     episodes,
-						RatePerSec:   rate,
-					})
-					if err != nil {
-						return err
-					}
-					points = append(points, pt)
-					rateCell := "closed"
-					if rate > 0 {
-						rateCell = strconv.FormatFloat(rate, 'g', -1, 64)
-					}
-					tb.AddRow(pt.Mode, strconv.Itoa(pt.Groups), strconv.Itoa(pt.Participants),
-						rateCell, strconv.FormatUint(pt.Joins, 10),
-						fmt.Sprintf("%.0f", pt.JoinsPerSec),
-						table.Cell(pt.JoinP50Ns), table.Cell(pt.JoinP99Ns))
-				}
+	for _, g := range groupsList {
+		for _, p := range pList {
+			pt, err := fabric.RunBench(fabric.BenchConfig{
+				Groups:       g,
+				Participants: p,
+				Episodes:     episodes,
+			})
+			if err != nil {
+				return err
 			}
+			points = append(points, pt)
+			tb.AddRow(strconv.Itoa(pt.Groups), strconv.Itoa(pt.Participants),
+				strconv.FormatUint(pt.Joins, 10),
+				fmt.Sprintf("%.0f", pt.JoinsPerSec),
+				table.Cell(pt.JoinP50Ns), table.Cell(pt.JoinP99Ns))
 		}
 	}
 	tb.AddNote("joins/sec is total completed arrivals over wall time, all groups combined")
@@ -62,7 +48,6 @@ func runFabric(out io.Writer, modes []string, groupsList, pList []int, rates []f
 	} else {
 		fmt.Fprint(out, tb.Render())
 	}
-	printFabricSpeedups(out, points)
 	if jsonout != "" {
 		path, err := writeFabricJSON(jsonout, episodes, points)
 		if err != nil {
@@ -71,39 +56,6 @@ func runFabric(out io.Writer, modes []string, groupsList, pList []int, rates []f
 		fmt.Fprintf(out, "wrote %s\n", path)
 	}
 	return nil
-}
-
-// printFabricSpeedups prints async/parked joins-per-sec ratios for
-// every swept shape measured in both modes.
-func printFabricSpeedups(out io.Writer, points []fabric.BenchPoint) {
-	type shape struct {
-		groups, p int
-		rate      float64
-	}
-	byShape := map[shape]map[string]fabric.BenchPoint{}
-	var shapes []shape
-	for _, pt := range points {
-		k := shape{pt.Groups, pt.Participants, pt.RatePerSec}
-		if byShape[k] == nil {
-			byShape[k] = map[string]fabric.BenchPoint{}
-			shapes = append(shapes, k)
-		}
-		byShape[k][pt.Mode] = pt
-	}
-	printed := false
-	for _, k := range shapes {
-		a, okA := byShape[k]["async"]
-		pk, okP := byShape[k]["parked"]
-		if !okA || !okP || pk.JoinsPerSec <= 0 {
-			continue
-		}
-		if !printed {
-			fmt.Fprintf(out, "\nasync vs goroutine-per-waiter speedup (joins/sec ratio):\n")
-			printed = true
-		}
-		fmt.Fprintf(out, "  %5d groups x P=%-4d  %6.2fx  (%.0f vs %.0f joins/sec)\n",
-			k.groups, k.p, a.JoinsPerSec/pk.JoinsPerSec, a.JoinsPerSec, pk.JoinsPerSec)
-	}
 }
 
 // writeFabricJSON writes a mode-"fabric" benchReport holding the sweep
@@ -126,32 +78,4 @@ func writeFabricJSON(dest string, episodes int, points []fabric.BenchPoint) (str
 		return "", err
 	}
 	return dest, os.WriteFile(dest, append(buf, '\n'), 0o644)
-}
-
-// parseFabricModes expands the -fabricmode flag.
-func parseFabricModes(s string) ([]string, error) {
-	switch s {
-	case "both", "":
-		return []string{"async", "parked"}, nil
-	case "async", "parked":
-		return []string{s}, nil
-	}
-	return nil, fmt.Errorf("unknown -fabricmode %q (have async, parked, both)", s)
-}
-
-// parseRates parses the comma-separated -fabricrate list (0 = closed
-// loop).
-func parseRates(s string) ([]float64, error) {
-	if s == "" {
-		return []float64{0}, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || r < 0 {
-			return nil, fmt.Errorf("bad rate %q", part)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

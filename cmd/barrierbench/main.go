@@ -115,9 +115,7 @@ func run(args []string, out io.Writer) error {
 		fabricFlag  = fs.Bool("fabric", false, "benchmark the multi-group barrier fabric (joins/sec) instead of bare barriers")
 		fabricG     = fs.String("fabricgroups", "16,256,1024", "comma-separated live group counts for -fabric")
 		fabricP     = fs.String("fabricp", "4", "comma-separated participants per group for -fabric")
-		fabricMode  = fs.String("fabricmode", "both", "fabric engines to sweep: async, parked, or both")
 		fabricEp    = fs.Int("fabricepisodes", 50, "joins per generator per -fabric point")
-		fabricRate  = fs.String("fabricrate", "", "comma-separated per-generator arrival rates/sec for -fabric (default closed loop)")
 		elasticFlag = fs.Bool("elastic", false, "benchmark the elastic-membership phaser (churn sweep vs fixed-P central) instead of bare barriers")
 		churnFlag   = fs.String("churn", "0,100,1000,10000", "comma-separated membership churn targets (register/deregister cycles per second) for -elastic; 0 = steady state")
 	)
@@ -125,10 +123,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *fabricFlag {
-		modes, err := parseFabricModes(*fabricMode)
-		if err != nil {
-			return err
-		}
 		groupsList, err := parseThreads(*fabricG)
 		if err != nil {
 			return err
@@ -137,14 +131,10 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rates, err := parseRates(*fabricRate)
-		if err != nil {
-			return err
-		}
 		if *fabricEp < 1 {
 			return fmt.Errorf("-fabricepisodes must be >= 1, got %d", *fabricEp)
 		}
-		return runFabric(out, modes, groupsList, pList, rates, *fabricEp, *csv, *jsonout)
+		return runFabric(out, groupsList, pList, *fabricEp, *csv, *jsonout)
 	}
 	if *elasticFlag {
 		wait, err := barrier.ParseWaitPolicy(*waitFlag)

@@ -18,10 +18,12 @@
 // other name, and when the new report holds both halves of a pair the
 // tool additionally prints the geomean fused-over-unfused speedup.
 //
-// Fabric sweeps from `barrierbench -fabric` diff on (engine mode,
-// groups, participants, rate). Joins/sec is a throughput, so the
-// regression direction is inverted — losing more than the threshold is
-// what fails — and the geomean summary is reported per engine mode.
+// Fabric sweeps from `barrierbench -fabric` diff on (groups,
+// participants). Joins/sec is a throughput, so the regression direction
+// is inverted — losing more than the threshold is what fails. Reports
+// from before the fabric had one engine carry rows of the deleted
+// parked engine (a "mode":"parked" key); they are refused rather than
+// paired with rows of the remaining engine.
 //
 // Elastic sweeps from `barrierbench -elastic` diff on (participants,
 // churn target). Ns/round is lower-is-better like the overhead diff,
@@ -197,54 +199,43 @@ func diffBarrier(out io.Writer, oldRep, newRep report, threshold float64) int {
 
 // fabricKey identifies one fabric sweep shape across the two reports.
 type fabricKey struct {
-	mode          string
 	groups, parts int
-	rate          float64
 }
 
 // diffFabric diffs the fabric throughput points. Joins/sec is
 // higher-is-better — the regression direction is inverted relative to
-// the overhead diff — and the geomean summary is per engine mode, so an
-// async win cannot mask a parked collapse or vice versa. Reports
-// without fabric points print nothing.
+// the overhead diff. Reports without fabric points print nothing.
 func diffFabric(out io.Writer, oldPts, newPts []fabric.BenchPoint, threshold float64) int {
 	if len(oldPts) == 0 && len(newPts) == 0 {
 		return 0
 	}
 	oldBy := map[fabricKey]fabric.BenchPoint{}
 	for _, p := range oldPts {
-		oldBy[fabricKey{p.Mode, p.Groups, p.Participants, p.RatePerSec}] = p
+		oldBy[fabricKey{p.Groups, p.Participants}] = p
 	}
 	newBy := map[fabricKey]fabric.BenchPoint{}
 	for _, p := range newPts {
-		newBy[fabricKey{p.Mode, p.Groups, p.Participants, p.RatePerSec}] = p
+		newBy[fabricKey{p.Groups, p.Participants}] = p
 	}
 	keys := make([]fabricKey, 0, len(oldBy))
 	for k := range oldBy {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.mode != b.mode {
-			return a.mode < b.mode
+		if keys[i].groups != keys[j].groups {
+			return keys[i].groups < keys[j].groups
 		}
-		if a.groups != b.groups {
-			return a.groups < b.groups
-		}
-		if a.parts != b.parts {
-			return a.parts < b.parts
-		}
-		return a.rate < b.rate
+		return keys[i].parts < keys[j].parts
 	})
-	fmt.Fprintf(out, "\n%-8s %8s %6s %14s %14s %8s\n", "fabric", "groups", "P", "old joins/s", "new joins/s", "delta")
+	fmt.Fprintf(out, "\n%-8s %6s %14s %14s %8s\n", "fabric", "P", "old joins/s", "new joins/s", "delta")
 	regressions := 0
-	modeLogSum := map[string]float64{}
-	modeCount := map[string]int{}
+	var logSum float64
+	count := 0
 	for _, k := range keys {
 		o := oldBy[k]
 		n, ok := newBy[k]
 		if !ok {
-			fmt.Fprintf(out, "%-8s %8d %6d %14.0f %14s %8s\n", k.mode, k.groups, k.parts, o.JoinsPerSec, "-", "gone")
+			fmt.Fprintf(out, "%-8d %6d %14.0f %14s %8s\n", k.groups, k.parts, o.JoinsPerSec, "-", "gone")
 			continue
 		}
 		delete(newBy, k)
@@ -255,20 +246,18 @@ func diffFabric(out io.Writer, oldPts, newPts []fabric.BenchPoint, threshold flo
 			regressions++
 		}
 		if o.JoinsPerSec > 0 && n.JoinsPerSec > 0 {
-			modeLogSum[k.mode] += math.Log(n.JoinsPerSec / o.JoinsPerSec)
-			modeCount[k.mode]++
+			logSum += math.Log(n.JoinsPerSec / o.JoinsPerSec)
+			count++
 		}
-		fmt.Fprintf(out, "%-8s %8d %6d %14.0f %14.0f %+7.1f%%%s\n",
-			k.mode, k.groups, k.parts, o.JoinsPerSec, n.JoinsPerSec, delta*100, mark)
+		fmt.Fprintf(out, "%-8d %6d %14.0f %14.0f %+7.1f%%%s\n",
+			k.groups, k.parts, o.JoinsPerSec, n.JoinsPerSec, delta*100, mark)
 	}
 	for k, n := range newBy {
-		fmt.Fprintf(out, "%-8s %8d %6d %14s %14.0f %8s\n", k.mode, k.groups, k.parts, "-", n.JoinsPerSec, "new")
+		fmt.Fprintf(out, "%-8d %6d %14s %14.0f %8s\n", k.groups, k.parts, "-", n.JoinsPerSec, "new")
 	}
-	for _, mode := range []string{"async", "parked"} {
-		if c := modeCount[mode]; c > 0 {
-			g := math.Exp(modeLogSum[mode] / float64(c))
-			fmt.Fprintf(out, "geomean fabric %s joins/sec: %+.1f%% over %d shape(s)\n", mode, (g-1)*100, c)
-		}
+	if count > 0 {
+		g := math.Exp(logSum / float64(count))
+		fmt.Fprintf(out, "geomean fabric joins/sec: %+.1f%% over %d shape(s)\n", (g-1)*100, count)
 	}
 	return regressions
 }
@@ -380,6 +369,22 @@ func load(path string) (report, error) {
 	}
 	if len(rep.Results) == 0 && len(rep.Fabric) == 0 && len(rep.Elastic) == 0 {
 		return report{}, fmt.Errorf("%s: no results", path)
+	}
+	// Fabric rows from before the parked engine was deleted carry their
+	// engine in a "mode" key; the parked rows measured that engine and
+	// must not pair with a current row of the same shape.
+	var engines struct {
+		Fabric []struct {
+			Mode string `json:"mode"`
+		} `json:"fabric"`
+	}
+	if err := json.Unmarshal(buf, &engines); err != nil {
+		return report{}, fmt.Errorf("%s: %w", path, err)
+	}
+	for _, p := range engines.Fabric {
+		if p.Mode == "parked" {
+			return report{}, fmt.Errorf("%s: fabric rows of the deleted parked engine (\"mode\":\"parked\"); compare reports of the one remaining engine", path)
+		}
 	}
 	return rep, nil
 }

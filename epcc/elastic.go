@@ -1,8 +1,9 @@
 package epcc
 
-// Elastic (dynamic-membership) measurement: the churn sweep behind the
-// RegimeChurny crossover and the phaser's steady-state acceptance bound
-// (within 1.3x of the fixed-P central barrier at equal P).
+// Elastic (dynamic-membership) measurement: the churn sweep (how round
+// time grows with the membership change rate, INSIGHTS §17) and the
+// phaser's steady-state acceptance bound (within 1.3x of the fixed-P
+// central barrier at equal P).
 //
 // The harness deliberately does NOT subtract an EPCC reference loop:
 // the comparison of interest is phaser-vs-fixed-barrier under one

@@ -1,19 +1,18 @@
 package fabric
 
-// The fabric benchmark: the joins/sec closed-loop (or paced) load the
-// acceptance numbers come from, as a library so `barrierbench -fabric`
-// and tests share one implementation.
+// The fabric benchmark: the joins/sec closed-loop load the acceptance
+// numbers come from, as a library so `barrierbench -fabric` and tests
+// share one implementation.
 //
 // Shape: G groups × P generator goroutines per group; every generator
 // performs exactly Episodes joins. The fixed per-generator episode
 // count is what makes teardown trivial — all P generators of a group
-// run the same count, so every round assembles completely and neither
-// engine is left holding a partial round (the parked engine would
-// otherwise strand goroutines on its inner barrier). Throughput is
-// total joins over wall time; join latency (Arrive to outcome receipt)
-// is sampled 1-in-SampleEvery per generator into per-generator local
-// histograms, merged after the run — the measurement itself adds no
-// shared state to the hot path.
+// run the same count, so every round assembles completely and no group
+// is left holding a partial round. Throughput is total joins over wall
+// time; join latency (Arrive to outcome receipt) is sampled
+// 1-in-SampleEvery per generator into per-generator local histograms,
+// merged after the run — the measurement itself adds no shared state
+// to the hot path.
 
 import (
 	"context"
@@ -26,16 +25,11 @@ import (
 
 // BenchConfig shapes one benchmark point.
 type BenchConfig struct {
-	// Mode is "async" or "parked".
-	Mode string
 	// Groups and Participants give the fleet shape: Groups independent
 	// groups of Participants each.
 	Groups, Participants int
 	// Episodes is how many joins each generator performs.
 	Episodes int
-	// RatePerSec, if > 0, paces each generator to that many joins/sec
-	// (open-loop-ish arrival process); 0 is the closed loop.
-	RatePerSec float64
 	// SampleEvery is the client-side latency sampling period; 0 means 8.
 	SampleEvery int
 	// Fabric overrides the fabric configuration (zero value = defaults).
@@ -44,11 +38,9 @@ type BenchConfig struct {
 
 // BenchPoint is one benchmark result row.
 type BenchPoint struct {
-	Mode         string  `json:"mode"`
 	Groups       int     `json:"groups"`
 	Participants int     `json:"participants"`
 	Episodes     int     `json:"episodes"`
-	RatePerSec   float64 `json:"rate_per_sec,omitempty"`
 	Joins        uint64  `json:"joins"`
 	ElapsedNs    int64   `json:"elapsed_ns"`
 	JoinsPerSec  float64 `json:"joins_per_sec"`
@@ -62,15 +54,6 @@ func RunBench(cfg BenchConfig) (BenchPoint, error) {
 		return BenchPoint{}, fmt.Errorf("fabric: bench needs groups, participants, episodes >= 1 (got %d, %d, %d)",
 			cfg.Groups, cfg.Participants, cfg.Episodes)
 	}
-	parked := false
-	switch cfg.Mode {
-	case "async", "":
-		cfg.Mode = "async"
-	case "parked":
-		parked = true
-	default:
-		return BenchPoint{}, fmt.Errorf("fabric: bench mode %q (have async, parked)", cfg.Mode)
-	}
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 8
 	}
@@ -79,10 +62,7 @@ func RunBench(cfg BenchConfig) (BenchPoint, error) {
 
 	groups := make([]*Group, cfg.Groups)
 	for i := range groups {
-		g, err := f.Group(fmt.Sprintf("bench-%05d", i), GroupConfig{
-			Participants: cfg.Participants,
-			Parked:       parked,
-		})
+		g, err := f.Group(fmt.Sprintf("bench-%05d", i), GroupConfig{Participants: cfg.Participants})
 		if err != nil {
 			return BenchPoint{}, err
 		}
@@ -95,10 +75,6 @@ func RunBench(cfg BenchConfig) (BenchPoint, error) {
 	}
 	gens := cfg.Groups * cfg.Participants
 	results := make([]genResult, gens)
-	var interval time.Duration
-	if cfg.RatePerSec > 0 {
-		interval = time.Duration(float64(time.Second) / cfg.RatePerSec)
-	}
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	wg.Add(gens)
@@ -107,14 +83,7 @@ func RunBench(cfg BenchConfig) (BenchPoint, error) {
 		for pi := 0; pi < cfg.Participants; pi++ {
 			go func(g *Group, res *genResult) {
 				defer wg.Done()
-				next := time.Now()
 				for e := 0; e < cfg.Episodes; e++ {
-					if interval > 0 {
-						next = next.Add(interval)
-						if d := time.Until(next); d > 0 {
-							time.Sleep(d)
-						}
-					}
 					sampled := e%cfg.SampleEvery == 0
 					var t0 time.Time
 					if sampled {
@@ -146,11 +115,9 @@ func RunBench(cfg BenchConfig) (BenchPoint, error) {
 	}
 	joins := uint64(gens) * uint64(cfg.Episodes)
 	pt := BenchPoint{
-		Mode:         cfg.Mode,
 		Groups:       cfg.Groups,
 		Participants: cfg.Participants,
 		Episodes:     cfg.Episodes,
-		RatePerSec:   cfg.RatePerSec,
 		Joins:        joins,
 		ElapsedNs:    elapsed.Nanoseconds(),
 		JoinsPerSec:  float64(joins) / elapsed.Seconds(),

@@ -89,9 +89,6 @@ func TestElasticGroupInFlightRoundKeepsLatchedSize(t *testing.T) {
 func TestElasticGroupConfigErrors(t *testing.T) {
 	f := New(Config{})
 	defer f.Close()
-	if _, err := f.Group("p", GroupConfig{Participants: 2, Elastic: true, Parked: true}); err == nil {
-		t.Error("Elastic+Parked accepted")
-	}
 	if _, err := f.Group("t", GroupConfig{Participants: 2, Elastic: true, Track: true}); err == nil {
 		t.Error("Elastic+Track accepted")
 	}

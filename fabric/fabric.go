@@ -21,9 +21,7 @@
 //     round in its arrival CAS and publishes it. Wake-ups are then
 //     delivered in batches by the fabric's bounded worker pool: one
 //     pass over the round's completion list, chunked to WakeBatch so a
-//     giant group cannot stall the queue behind it. The goroutine-per-
-//     waiter alternative exists as the Parked group mode — the baseline
-//     `barrierbench -fabric` measures the async path against.
+//     giant group cannot stall the queue behind it.
 //
 // Per-group telemetry rollups (episode rate, join-wait quantiles,
 // arrival skew) ride 1-in-K round sampling so instrumenting ten
@@ -40,7 +38,6 @@ import (
 	"time"
 
 	"armbarrier/internal/pad"
-	"armbarrier/tune"
 )
 
 // Config configures a Fabric.
@@ -70,24 +67,14 @@ type Config struct {
 	// OnStall, if non-nil, is called once per newly stalled (group,
 	// round) from whichever goroutine ran the detecting Check.
 	OnStall func(Stall)
-	// FlatThreshold is the participant count at or below which a Parked
-	// group collapses to the flat counter barrier (barrier.Central);
-	// larger parked groups ride barrier.Hierarchical. 0 means
-	// DefaultFlatThreshold.
-	FlatThreshold int
-	// ParkedBudget bounds each parked join (barrier.WaitDeadline), so a
-	// wedged parked group errors out instead of leaking goroutines
-	// forever. 0 means unbounded.
-	ParkedBudget time.Duration
 }
 
 // Defaults for the zero Config.
 const (
-	DefaultShards        = 64
-	DefaultQueueDepth    = 4096
-	DefaultWakeBatch     = 64
-	DefaultSampleEvery   = 16
-	DefaultFlatThreshold = 64
+	DefaultShards      = 64
+	DefaultQueueDepth  = 4096
+	DefaultWakeBatch   = 64
+	DefaultSampleEvery = 16
 )
 
 // shardState is one shard of the group table. Only create, lookup,
@@ -148,9 +135,6 @@ func New(cfg Config) *Fabric {
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = DefaultSampleEvery
 	}
-	if cfg.FlatThreshold <= 0 {
-		cfg.FlatThreshold = DefaultFlatThreshold
-	}
 	f := &Fabric{
 		cfg:    cfg,
 		shards: make([]shard, shards),
@@ -183,14 +167,6 @@ func (f *Fabric) shardOf(name string) *shard {
 type GroupConfig struct {
 	// Participants is the group's fixed round size P; required, >= 1.
 	Participants int
-	// Parked selects the goroutine-per-waiter engine instead of the
-	// async arrival stack: each arrival parks a goroutine on an inner
-	// spin barrier — the flat counter barrier up to the fabric's
-	// FlatThreshold, barrier.Hierarchical above it — with the wait
-	// policy chosen by the live regime (tune.FabricRegime). It exists
-	// as the measurable baseline and for callers that want the inner
-	// barriers' exact semantics.
-	Parked bool
 	// Track allocates per-participant arrival counters so ArriveAs
 	// calls let the watchdog name the missing participants of a stalled
 	// round. Costs P words per group; leave off for anonymous groups.
@@ -201,15 +177,14 @@ type GroupConfig struct {
 	// late joiner raises it, a leaver lowers it), and Group.Resize
 	// adjusts it directly. Each round's size is latched by its first
 	// arrival, so a resize only ever affects rounds that have not begun.
-	// Elastic groups use the async engine and are anonymous: combining
-	// Elastic with Parked or Track is an error (the parked engine's
-	// ticket math and the tracked arrival table both assume a fixed P).
+	// Elastic groups are anonymous: combining Elastic with Track is an
+	// error (the tracked arrival table assumes a fixed P).
 	Elastic bool
 }
 
 // Group returns the named group, creating it with cfg on first use.
 // A second caller reaching an existing group gets that group; its cfg
-// must agree on the engine, or an error is returned — two services
+// must agree on elasticity, or an error is returned — two services
 // disagreeing on a group's shape is a bug worth surfacing, not
 // papering over. Fixed groups must also agree on Participants; for an
 // elastic group a differing Participants is a resize request (see
@@ -221,9 +196,6 @@ func (f *Fabric) Group(name string, cfg GroupConfig) (*Group, error) {
 	if cfg.Participants < 1 {
 		return nil, fmt.Errorf("fabric: group %q: participants %d < 1", name, cfg.Participants)
 	}
-	if cfg.Elastic && cfg.Parked {
-		return nil, fmt.Errorf("fabric: group %q: Elastic requires the async engine (Parked set)", name)
-	}
 	if cfg.Elastic && cfg.Track {
 		return nil, fmt.Errorf("fabric: group %q: Elastic groups are anonymous (Track set)", name)
 	}
@@ -232,17 +204,14 @@ func (f *Fabric) Group(name string, cfg GroupConfig) (*Group, error) {
 	g, ok := s.groups[name]
 	s.mu.RUnlock()
 	if !ok || g.Closed() {
-		// Construct outside the shard lock: group construction reads
-		// fabric-wide state (the live-group count for the regime
-		// policy), which takes shard read locks of its own. A racing
-		// creator may win the insert; its group is kept and ours is
-		// dropped unstarted.
-		ng := f.newGroup(name, cfg)
+		// Recheck under the write lock: a racing creator may have
+		// inserted first, and only the winner builds a group.
 		s.mu.Lock()
 		if g, ok = s.groups[name]; !ok || g.Closed() {
-			s.groups[name] = ng
+			g = f.newGroup(name, cfg)
+			s.groups[name] = g
 			s.mu.Unlock()
-			return ng, nil
+			return g, nil
 		}
 		s.mu.Unlock()
 	}
@@ -254,10 +223,6 @@ func groupCompat(name string, g *Group, cfg GroupConfig) (*Group, error) {
 	if g.elastic != cfg.Elastic {
 		return nil, fmt.Errorf("fabric: group %q exists with elastic=%v, requested %v",
 			name, g.elastic, cfg.Elastic)
-	}
-	if (g.parked != nil) != cfg.Parked {
-		return nil, fmt.Errorf("fabric: group %q exists with parked=%v, requested %v",
-			name, g.parked != nil, cfg.Parked)
 	}
 	if g.elastic {
 		if g.Participants() != cfg.Participants {
@@ -288,7 +253,7 @@ func (f *Fabric) Lookup(name string) (*Group, bool) {
 // close happens under the shard lock, in the same critical section as
 // the delete, so no Group/Lookup caller can ever obtain a removed-but-
 // not-yet-closed group (Close never blocks: outcome channels are
-// buffered and the parked engine's close is a flag).
+// buffered).
 func (f *Fabric) Remove(name string) bool {
 	s := f.shardOf(name)
 	s.mu.Lock()
@@ -342,13 +307,6 @@ func (f *Fabric) Sweep(idle time.Duration) int {
 		s.mu.Unlock()
 	}
 	return removed
-}
-
-// regimePolicy picks the wait policy a parked group's inner barrier
-// should use, from the live regime: the group's own P plus every other
-// registered group's participants compete for the same GOMAXPROCS.
-func (f *Fabric) regimePolicy(p int) tune.Regime {
-	return tune.FabricRegime(p, f.Groups()+1, runtime.GOMAXPROCS(0))
 }
 
 // Close closes every group (draining in-flight waiters with ErrClosed),

@@ -129,49 +129,6 @@ func TestGroupsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestParkedEngine runs the goroutine-per-waiter engine across its
-// flat and hierarchical inner barriers.
-func TestParkedEngine(t *testing.T) {
-	f := New(Config{FlatThreshold: 4, ParkedBudget: 30 * time.Second})
-	defer f.Close()
-	for _, p := range []int{1, 3, 4, 9} { // 9 > FlatThreshold: hierarchical inner
-		g, err := f.Group(fmt.Sprintf("pk%d", p), GroupConfig{Participants: p, Parked: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		const rounds = 20
-		var wg sync.WaitGroup
-		errs := make([]error, p)
-		wg.Add(p)
-		for i := 0; i < p; i++ {
-			go func(slot int) {
-				defer wg.Done()
-				for r := uint64(0); r < rounds; r++ {
-					o := <-g.Arrive(ctx)
-					if o.Err != nil {
-						errs[slot] = o.Err
-						return
-					}
-					if o.Round != r {
-						errs[slot] = fmt.Errorf("round %d, want %d", o.Round, r)
-						return
-					}
-				}
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("p=%d looper %d: %v", p, i, err)
-			}
-		}
-		if snap := g.Snapshot(); snap.Mode != "parked" || snap.Rounds != rounds {
-			t.Fatalf("p=%d snapshot %+v, want parked/%d rounds", p, snap, rounds)
-		}
-	}
-}
-
 // TestJoinHonoursContext checks Join gives up the wait (not the
 // arrival) when its context dies first.
 func TestJoinHonoursContext(t *testing.T) {

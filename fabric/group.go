@@ -51,8 +51,8 @@ type Outcome struct {
 	// nil.
 	Round uint64
 	// Err is non-nil if the arrival could not complete a round:
-	// ErrClosed, a context error (Join), or a barrier timeout (parked
-	// groups with a ParkedBudget).
+	// ErrClosed, a context error at entry, or ArriveAs's out-of-range
+	// participant error.
 	Err error
 }
 
@@ -122,8 +122,6 @@ type Group struct {
 	// arrived is the optional per-participant cumulative arrival count
 	// (Track), read by the watchdog to name missing participants.
 	arrived []atomic.Uint64
-	// parked is non-nil for goroutine-per-waiter groups.
-	parked *parkedGroup
 
 	closed atomic.Bool
 }
@@ -136,9 +134,6 @@ func (f *Fabric) newGroup(name string, cfg GroupConfig) *Group {
 	}
 	if cfg.Track {
 		g.arrived = make([]atomic.Uint64, cfg.Participants)
-	}
-	if cfg.Parked {
-		g.parked = f.newParkedGroup(g)
 	}
 	g.meta.V.lastNs.Store(f.monons())
 	return g
@@ -188,10 +183,6 @@ func (g *Group) Arrive(ctx context.Context) <-chan Outcome {
 		ch <- Outcome{Err: err}
 		return ch
 	}
-	if g.parked != nil {
-		g.parked.arrive(ch)
-		return ch
-	}
 	g.arrive(ch, -1)
 	return ch
 }
@@ -208,10 +199,6 @@ func (g *Group) ArriveAs(ctx context.Context, id int) <-chan Outcome {
 	}
 	if err := ctx.Err(); err != nil {
 		ch <- Outcome{Err: err}
-		return ch
-	}
-	if g.parked != nil {
-		g.parked.arrive(ch)
 		return ch
 	}
 	g.arrive(ch, id)
@@ -320,9 +307,6 @@ func (g *Group) Close() {
 	for w := h; w != nil && w != closedNode; w = w.next {
 		w.ch <- Outcome{Err: ErrClosed}
 	}
-	if g.parked != nil {
-		g.parked.close()
-	}
 }
 
 // Closed reports whether Close has run.
@@ -335,22 +319,9 @@ func (g *Group) Closed() bool { return g.closed.Load() }
 // idleness check and the CAS makes the CAS fail and the group survives
 // the cycle — a swept arrival can therefore only ever observe the
 // sentinel (ErrClosed), never vanish into a detached stack.
-//
-// Parked groups have no single-word close; their check-then-close
-// keeps a residual window in which a queued arrival rides the doors
-// into a round that will never assemble. ParkedBudget bounds that
-// waiter's stay; an unbudgeted parked group accepts the leak as
-// documented in parkedGroup.close.
 func (g *Group) tryCloseIdle(cutoffNs int64) bool {
 	if g.meta.V.lastNs.Load() >= cutoffNs {
 		return false
-	}
-	if g.parked != nil {
-		if g.parked.inflight() != 0 {
-			return false
-		}
-		g.Close()
-		return true
 	}
 	if !g.hot.V.head.CompareAndSwap(nil, closedNode) {
 		// Non-empty (a round is in flight) or already closed by someone
@@ -366,9 +337,6 @@ func (g *Group) tryCloseIdle(cutoffNs int64) bool {
 func (g *Group) inflight() int {
 	h := g.hot.V.head.Load()
 	if h == nil || h == closedNode {
-		if g.parked != nil {
-			return g.parked.inflight()
-		}
 		return 0
 	}
 	return int(h.n)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -26,9 +27,6 @@ func TestGroupCreateLookup(t *testing.T) {
 	}
 	if _, err := f.Group("a", GroupConfig{Participants: 5}); err == nil {
 		t.Fatal("participant mismatch accepted")
-	}
-	if _, err := f.Group("a", GroupConfig{Participants: 3, Parked: true}); err == nil {
-		t.Fatal("engine mismatch accepted")
 	}
 	if _, err := f.Group("bad", GroupConfig{}); err == nil {
 		t.Fatal("zero participants accepted")
@@ -75,9 +73,9 @@ func TestConcurrentCreateOneWinner(t *testing.T) {
 	}
 }
 
-// TestArriveAfterClose pins the close semantics for both engines: a
-// partial round drains with ErrClosed, later arrivals fail fast, and a
-// removed group's stale handle behaves the same.
+// TestArriveAfterClose pins the close semantics: a partial round
+// drains with ErrClosed, later arrivals fail fast, and a removed
+// group's stale handle behaves the same.
 func TestArriveAfterClose(t *testing.T) {
 	f := New(Config{})
 	defer f.Close()
@@ -110,15 +108,6 @@ func TestArriveAfterClose(t *testing.T) {
 	}
 	if o := recvOutcome(t, g2.Arrive(ctx)); !errors.Is(o.Err, ErrClosed) {
 		t.Fatalf("stale handle got %+v, want ErrClosed", o)
-	}
-
-	// Parked engine: queued arrivals drain with ErrClosed too (the
-	// budget bounds any waiter already inside the inner barrier).
-	pk, _ := f.Group("pk", GroupConfig{Participants: 2, Parked: true})
-	pkPending := pk.Arrive(ctx)
-	pk.Close()
-	if o := recvOutcome(t, pkPending); o.Err == nil {
-		t.Fatalf("parked pending arrival got %+v, want error", o)
 	}
 }
 
@@ -180,6 +169,73 @@ func TestFabricCloseDrains(t *testing.T) {
 	}
 	if f.Groups() != 0 {
 		t.Fatalf("Groups() = %d after Close, want 0", f.Groups())
+	}
+}
+
+// TestCloseLeaksNoGoroutine checks that no goroutine outlives Close:
+// the wake-up pool's workers and the background watchdog both exit,
+// including when Close has to drain a group left holding a partial
+// round. The goroutine count is polled back to its baseline under a
+// deadline, so a leak fails the test instead of hanging it.
+func TestCloseLeaksNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	stalled := make(chan struct{}, 1)
+	f := New(Config{
+		Workers:       4,
+		WakeBatch:     8, // the wide group's release re-queues chunks
+		StallDeadline: 5 * time.Millisecond,
+		OnStall: func(Stall) {
+			select {
+			case stalled <- struct{}{}:
+			default:
+			}
+		},
+	})
+	f.StartWatchdog(time.Millisecond)
+	ctx := context.Background()
+
+	for i, p := range []int{1, 3, 40} {
+		g, err := f.Group(fmt.Sprintf("g%d", i), GroupConfig{Participants: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := uint64(0); r < 5; r++ {
+			chs := make([]<-chan Outcome, p)
+			for j := range chs {
+				chs[j] = g.Arrive(ctx)
+			}
+			for j, ch := range chs {
+				if o := recvOutcome(t, ch); o.Err != nil || o.Round != r {
+					t.Fatalf("group %s arrival %d: got %+v, want round %d", g.Name(), j, o, r)
+				}
+			}
+		}
+	}
+	held, err := f.Group("held", GroupConfig{Participants: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := []<-chan Outcome{held.Arrive(ctx), held.Arrive(ctx)} // 2 of 3
+	select {
+	case <-stalled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("watchdog never reported the held group")
+	}
+
+	f.Close()
+	for i, ch := range pending {
+		if o := recvOutcome(t, ch); !errors.Is(o.Err, ErrClosed) {
+			t.Fatalf("held arrival %d got %+v, want ErrClosed", i, o)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after Close, baseline %d:\n%s", runtime.NumGoroutine(), base, buf)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -81,7 +81,6 @@ func (s *groupStats) join(waitNs int64) {
 type GroupSnapshot struct {
 	Name         string  `json:"name"`
 	Participants int     `json:"participants"`
-	Mode         string  `json:"mode"` // "async" or "parked"
 	Elastic      bool    `json:"elastic,omitempty"`
 	Closed       bool    `json:"closed"`
 	Rounds       uint64  `json:"rounds"`
@@ -103,14 +102,10 @@ func (g *Group) Snapshot() GroupSnapshot {
 	snap := GroupSnapshot{
 		Name:         g.name,
 		Participants: g.Participants(),
-		Mode:         "async",
 		Elastic:      g.elastic,
 		Closed:       g.closed.Load(),
 		Rounds:       g.meta.V.rounds.Load(),
 		InFlight:     g.inflight(),
-	}
-	if g.parked != nil {
-		snap.Mode = "parked"
 	}
 	if up := g.fab.monons(); up > 0 {
 		snap.RatePerSec = float64(snap.Rounds) / (float64(up) / 1e9)

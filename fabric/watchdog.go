@@ -73,8 +73,6 @@ func (g *Group) checkStall(now, deadlineNs int64) (Stall, bool) {
 	arrived, target := 0, g.p
 	if h := g.hot.V.head.Load(); h != nil && h != closedNode {
 		arrived, target = int(h.n), int(h.roundP)
-	} else if g.parked != nil {
-		arrived = g.parked.inflight()
 	}
 	if arrived == 0 || arrived >= target || g.closed.Load() {
 		return Stall{}, false

@@ -130,13 +130,28 @@ func TestMissingParticipantDetectedMatrix(t *testing.T) {
 // TestLateParticipantRecovers is the Delay variant of the matrix's
 // scenario on a representative subset: a straggler that is merely late
 // (shorter than the bounded-wait budget) must not produce errors, only
-// a watchdog stall that clears by itself.
+// a watchdog stall that clears by itself. Every stall report is
+// collected: a later report may legitimately name no missing
+// participant (taken after the straggler entered the tree but before
+// it released), so the check is that some report names exactly the
+// straggler, not that the last one does.
 func TestLateParticipantRecovers(t *testing.T) {
 	const p = 4
 	for _, aname := range []string{"central", "dissemination", "optimized"} {
 		mk := algorithms()[aname]
 		t.Run(aname, func(t *testing.T) {
-			wd := barrier.NewWatchdog(mk(p), barrier.WatchdogConfig{Deadline: 10 * time.Millisecond})
+			var (
+				mu      sync.Mutex
+				reports []barrier.Stall
+			)
+			wd := barrier.NewWatchdog(mk(p), barrier.WatchdogConfig{
+				Deadline: 10 * time.Millisecond,
+				OnStall: func(st barrier.Stall) {
+					mu.Lock()
+					reports = append(reports, st)
+					mu.Unlock()
+				},
+			})
 			in := Wrap(wd, Fault{ID: 1, Round: 0, Kind: Delay, Delay: 60 * time.Millisecond})
 			wd.Start()
 			defer wd.Stop()
@@ -160,11 +175,18 @@ func TestLateParticipantRecovers(t *testing.T) {
 					t.Errorf("participant %d: %v", id, err)
 				}
 			}
-			if s := wd.Snapshot(); s.Stalls == 0 {
-				t.Error("a 60ms straggler under a 10ms deadline produced no stall report")
-			} else if s.LastStall.Missing[0] != 1 {
-				t.Errorf("stall names %v, want [1]", s.LastStall.Missing)
+			wd.Stop()
+			mu.Lock()
+			named := false
+			for _, st := range reports {
+				if len(st.Missing) == 1 && st.Missing[0] == 1 {
+					named = true
+				}
 			}
+			if !named {
+				t.Errorf("no stall report names exactly [1] as missing; reports: %+v", reports)
+			}
+			mu.Unlock()
 			if _, stalled := wd.Check(); stalled {
 				t.Error("stall persists after the late participant arrived")
 			}

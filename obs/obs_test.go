@@ -7,12 +7,39 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
 	"armbarrier/barrier"
 )
+
+// runUntilStopped drives b with all participants until stop closes.
+// Participant 0 alone reads stop and publishes the decision, which
+// everyone reads between two episodes, so all participants leave after
+// the same round. Checking stop independently would let an early
+// leaver strand its peers in Wait.
+func runUntilStopped(b barrier.Barrier, stop <-chan struct{}) {
+	var quit atomic.Bool
+	barrier.Run(b, func(id int) {
+		for {
+			if id == 0 {
+				select {
+				case <-stop:
+					quit.Store(true)
+				default:
+				}
+			}
+			b.Wait(id)
+			q := quit.Load()
+			b.Wait(id)
+			if q {
+				return
+			}
+		}
+	})
+}
 
 // runRounds drives an instrumented barrier through a fixed number of
 // rounds with all participants.
@@ -224,16 +251,7 @@ func TestSnapshotWhileRunning(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		barrier.Run(in, func(id int) {
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					in.Wait(id)
-				}
-			}
-		})
+		runUntilStopped(in, stop)
 	}()
 	var last uint64
 	for i := 0; i < 100; i++ {

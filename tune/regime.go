@@ -26,15 +26,6 @@ const (
 	// cores: a spinning waiter burns the quantum of the very goroutine
 	// it waits for, so parking wins.
 	RegimeOversubscribed
-	// RegimeChurny means membership itself is the dominant traffic: an
-	// elastic barrier (barrier.Phaser) whose register/deregister rate is
-	// a sizable fraction of its round rate. Every membership change is a
-	// CAS on the same packed word arrivals use, so churn contends with
-	// arrival exactly like an extra participant — and a pure-spin waiter
-	// on a churny barrier re-reads a word that changes for reasons other
-	// than its own release. Yield-based spinning keeps the loser of a
-	// membership CAS off the core the winner needs.
-	RegimeChurny
 )
 
 // String implements fmt.Stringer with the labels epcc's tables use.
@@ -44,8 +35,6 @@ func (r Regime) String() string {
 		return "dedicated"
 	case RegimeOversubscribed:
 		return "oversubscribed"
-	case RegimeChurny:
-		return "churn"
 	}
 	return "unknown"
 }
@@ -71,12 +60,10 @@ func ParseRegime(s string) (Regime, error) {
 		return RegimeDedicated, nil
 	case "oversubscribed":
 		return RegimeOversubscribed, nil
-	case "churn":
-		return RegimeChurny, nil
 	case "unknown":
 		return RegimeUnknown, nil
 	}
-	return RegimeUnknown, fmt.Errorf("tune: unknown regime %q (have dedicated, oversubscribed, churn, unknown)", s)
+	return RegimeUnknown, fmt.Errorf("tune: unknown regime %q (have dedicated, oversubscribed, unknown)", s)
 }
 
 // ClassifyStatic classifies the regime from the static shape of a run:
@@ -92,42 +79,12 @@ func ClassifyStatic(participants, gomaxprocs int) Regime {
 }
 
 // WaitPolicy returns the wait discipline the regime calls for:
-// spin-yield while dedicated (and as the unknown-regime and churny
-// defaults), spin-then-park once oversubscribed. This is the decision
-// rule the README documents — choose the wait policy before tuning the
-// tree. RegimeChurny keeps spin-yield: a parked waiter of an elastic
-// barrier would force every membership-driven resolution (an absorbing
-// deregistration) through the futex path, and BENCH_pr10's churn sweep
-// shows the yield ladder absorbing register/deregister CAS losses
-// without measurable round-latency cost.
+// spin-yield while dedicated (and as the unknown-regime default),
+// spin-then-park once oversubscribed. This is the decision rule the
+// README documents — choose the wait policy before tuning the tree.
 func (r Regime) WaitPolicy() barrier.WaitPolicy {
 	if r == RegimeOversubscribed {
 		return barrier.SpinParkWait()
 	}
 	return barrier.SpinYieldWait()
-}
-
-// churnRatioThreshold is the membership-to-round rate ratio above which
-// a barrier's environment is classified churny rather than by core
-// count: one membership change per this many rounds makes the packed
-// membership word's CAS traffic competitive with arrival traffic (the
-// INSIGHTS §17 crossover; measured on the 1-in-16 to 1-in-8 boundary,
-// the conservative edge is 1/16).
-const churnRatioThreshold = 1.0 / 16
-
-// ChurnRegime classifies an elastic barrier's environment. Membership
-// churn dominates once register+deregister traffic exceeds one change
-// per 16 rounds (see churnRatioThreshold); otherwise the static
-// core-count rule applies unchanged. A zero round rate with nonzero
-// churn is churny by definition (membership is the only traffic).
-func ChurnRegime(churnPerSec, roundsPerSec float64, participants, gomaxprocs int) Regime {
-	if churnPerSec > 0 && (roundsPerSec <= 0 || churnPerSec/roundsPerSec >= churnRatioThreshold) {
-		if ClassifyStatic(participants, gomaxprocs) == RegimeOversubscribed {
-			// Oversubscription still wins: parking beats yielding when the
-			// cores are gone, churn or not.
-			return RegimeOversubscribed
-		}
-		return RegimeChurny
-	}
-	return ClassifyStatic(participants, gomaxprocs)
 }

@@ -12,7 +12,6 @@ func TestRegimeString(t *testing.T) {
 		RegimeUnknown:        "unknown",
 		RegimeDedicated:      "dedicated",
 		RegimeOversubscribed: "oversubscribed",
-		RegimeChurny:         "churn",
 		Regime(200):          "unknown",
 	}
 	for r, want := range cases {
@@ -23,7 +22,7 @@ func TestRegimeString(t *testing.T) {
 }
 
 func TestParseRegimeRoundTrip(t *testing.T) {
-	for _, r := range []Regime{RegimeUnknown, RegimeDedicated, RegimeOversubscribed, RegimeChurny} {
+	for _, r := range []Regime{RegimeUnknown, RegimeDedicated, RegimeOversubscribed} {
 		got, err := ParseRegime(r.String())
 		if err != nil {
 			t.Fatalf("ParseRegime(%q): %v", r, err)
@@ -76,36 +75,5 @@ func TestRegimeWaitPolicy(t *testing.T) {
 	// ChooseWaitPolicy is the classify-then-choose composition.
 	if got := ChooseWaitPolicy(16, 8); got != barrier.SpinParkWait() {
 		t.Errorf("ChooseWaitPolicy(16, 8) = %v", got)
-	}
-}
-
-func TestChurnRegime(t *testing.T) {
-	cases := []struct {
-		name                   string
-		churnPS, roundsPS      float64
-		participants, maxprocs int
-		want                   Regime
-	}{
-		// Below the 1-in-16 crossover the static rule applies.
-		{"quiet", 1, 1000, 4, 8, RegimeDedicated},
-		{"quiet-oversub", 1, 1000, 16, 8, RegimeOversubscribed},
-		// At and above the crossover, churn dominates.
-		{"at-threshold", 1000.0 / 16, 1000, 4, 8, RegimeChurny},
-		{"heavy", 500, 1000, 4, 8, RegimeChurny},
-		// Membership-only traffic is churny by definition.
-		{"no-rounds", 10, 0, 4, 8, RegimeChurny},
-		// Oversubscription outranks churn: no cores means park.
-		{"churny-oversub", 500, 1000, 16, 8, RegimeOversubscribed},
-		// No churn at all: pure static classification.
-		{"none", 0, 0, 4, 8, RegimeDedicated},
-	}
-	for _, c := range cases {
-		if got := ChurnRegime(c.churnPS, c.roundsPS, c.participants, c.maxprocs); got != c.want {
-			t.Errorf("%s: ChurnRegime(%v, %v, %d, %d) = %v, want %v",
-				c.name, c.churnPS, c.roundsPS, c.participants, c.maxprocs, got, c.want)
-		}
-	}
-	if got := RegimeChurny.WaitPolicy(); got != barrier.SpinYieldWait() {
-		t.Errorf("churn wait = %v, want spin-yield", got)
 	}
 }
