@@ -33,7 +33,6 @@ import (
 
 	"armbarrier/barrier"
 	"armbarrier/epcc"
-	"armbarrier/fabric"
 	"armbarrier/internal/faultinject"
 	"armbarrier/internal/table"
 	"armbarrier/obs"
@@ -112,53 +111,10 @@ func run(args []string, out io.Writer) error {
 		tracegroup  = fs.Int("tracegroup", 0, "participants per topology group in the straggler report (0 = ungrouped)")
 		faultFlag   = fs.String("fault", "", "fault-injection specs id@round:kind[:duration], comma-separated (kinds: delay, stall, drop, panic); runs the robustness harness instead of the benchmark")
 		faultDL     = fs.Duration("faultdeadline", 50*time.Millisecond, "watchdog stall deadline for -fault runs")
-		fabricFlag  = fs.Bool("fabric", false, "benchmark the multi-group barrier fabric (joins/sec) instead of bare barriers")
-		fabricG     = fs.String("fabricgroups", "16,256,1024", "comma-separated live group counts for -fabric")
-		fabricP     = fs.String("fabricp", "4", "comma-separated participants per group for -fabric")
-		fabricEp    = fs.Int("fabricepisodes", 50, "joins per generator per -fabric point")
-		elasticFlag = fs.Bool("elastic", false, "benchmark the elastic-membership phaser (churn sweep vs fixed-P central) instead of bare barriers")
-		churnFlag   = fs.String("churn", "0,100,1000,10000", "comma-separated membership churn targets (register/deregister cycles per second) for -elastic; 0 = steady state")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *fabricFlag {
-		groupsList, err := parseThreads(*fabricG)
-		if err != nil {
-			return err
-		}
-		pList, err := parseThreads(*fabricP)
-		if err != nil {
-			return err
-		}
-		if *fabricEp < 1 {
-			return fmt.Errorf("-fabricepisodes must be >= 1, got %d", *fabricEp)
-		}
-		return runFabric(out, groupsList, pList, *fabricEp, *csv, *jsonout)
-	}
-	if *elasticFlag {
-		wait, err := barrier.ParseWaitPolicy(*waitFlag)
-		if err != nil {
-			return err
-		}
-		var wopts []barrier.Option
-		if wait != barrier.SpinYieldWait() {
-			wopts = append(wopts, barrier.WithWaitPolicy(wait))
-		}
-		pList, err := parseThreads(*threadsFlag)
-		if err != nil {
-			return err
-		}
-		churnList, err := parseChurn(*churnFlag)
-		if err != nil {
-			return err
-		}
-		if *episodes < 1 {
-			return fmt.Errorf("-episodes must be >= 1, got %d", *episodes)
-		}
-		return runElastic(out, pList, churnList, *episodes, wopts, *csv, *jsonout)
-	}
-
 	tracing := *traceFlag || *traceout != ""
 	if *streamFlag && *streamWin <= 0 {
 		return fmt.Errorf("-streamwindow must be positive, got %v", *streamWin)
@@ -488,12 +444,6 @@ type benchReport struct {
 	// Drift holds one model-vs-measured scoreboard per phased
 	// measurement (-phases only).
 	Drift []obs.DriftSnapshot `json:"drift,omitempty"`
-	// Fabric holds the -fabric sweep's throughput points (mode
-	// "fabric" reports only).
-	Fabric []fabric.BenchPoint `json:"fabric,omitempty"`
-	// Elastic holds the -elastic churn sweep's points (mode "elastic"
-	// reports only).
-	Elastic []epcc.ElasticPoint `json:"elastic,omitempty"`
 }
 
 // resolveJSONDest turns a -jsonout value into a concrete file path: an

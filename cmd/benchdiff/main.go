@@ -18,17 +18,8 @@
 // other name, and when the new report holds both halves of a pair the
 // tool additionally prints the geomean fused-over-unfused speedup.
 //
-// Fabric sweeps from `barrierbench -fabric` diff on (groups,
-// participants). Joins/sec is a throughput, so the regression direction
-// is inverted — losing more than the threshold is what fails. Reports
-// from before the fabric had one engine carry rows of the deleted
-// parked engine (a "mode":"parked" key); they are refused rather than
-// paired with rows of the remaining engine.
-//
-// Elastic sweeps from `barrierbench -elastic` diff on (participants,
-// churn target). Ns/round is lower-is-better like the overhead diff,
-// and the summary additionally reports the new report's worst
-// steady-state phaser/central ratio against the 1.3x acceptance bound.
+// Reports from the retired -fabric and -elastic modes (BENCH_pr9.json,
+// BENCH_pr10.json) carry no per-algorithm results and are refused.
 package main
 
 import (
@@ -43,7 +34,6 @@ import (
 	"strings"
 
 	"armbarrier/epcc"
-	"armbarrier/fabric"
 	"armbarrier/obs"
 )
 
@@ -74,14 +64,6 @@ type report struct {
 	// deltas. Reports without it diff fine — the phase summary is
 	// simply omitted.
 	Telemetry []obs.Snapshot `json:"telemetry,omitempty"`
-	// Fabric holds `barrierbench -fabric` throughput points. These are
-	// higher-is-better (joins/sec), so their regression direction is
-	// inverted; a report may carry fabric points, barrier results, or
-	// both.
-	Fabric []fabric.BenchPoint `json:"fabric,omitempty"`
-	// Elastic holds `barrierbench -elastic` churn-sweep points
-	// (lower-is-better ns/round, like the overhead results).
-	Elastic []epcc.ElasticPoint `json:"elastic,omitempty"`
 }
 
 // key identifies one measured combination across the two reports.
@@ -120,13 +102,7 @@ func run(args []string, out io.Writer) error {
 			oldRep.GOMAXPROCS, newRep.GOMAXPROCS)
 	}
 
-	regressions := 0
-	if len(oldRep.Results) > 0 || len(newRep.Results) > 0 {
-		regressions += diffBarrier(out, oldRep, newRep, *threshold)
-	}
-	regressions += diffFabric(out, oldRep.Fabric, newRep.Fabric, *threshold)
-	regressions += diffElastic(out, oldRep.Elastic, newRep.Elastic, *threshold)
-	if regressions > 0 {
+	if regressions := diffBarrier(out, oldRep, newRep, *threshold); regressions > 0 {
 		fmt.Fprintf(out, "\n%d regression(s) beyond %.0f%% threshold\n", regressions, *threshold*100)
 		return errRegression
 	}
@@ -197,167 +173,6 @@ func diffBarrier(out io.Writer, oldRep, newRep report, threshold float64) int {
 	return regressions
 }
 
-// fabricKey identifies one fabric sweep shape across the two reports.
-type fabricKey struct {
-	groups, parts int
-}
-
-// diffFabric diffs the fabric throughput points. Joins/sec is
-// higher-is-better — the regression direction is inverted relative to
-// the overhead diff. Reports without fabric points print nothing.
-func diffFabric(out io.Writer, oldPts, newPts []fabric.BenchPoint, threshold float64) int {
-	if len(oldPts) == 0 && len(newPts) == 0 {
-		return 0
-	}
-	oldBy := map[fabricKey]fabric.BenchPoint{}
-	for _, p := range oldPts {
-		oldBy[fabricKey{p.Groups, p.Participants}] = p
-	}
-	newBy := map[fabricKey]fabric.BenchPoint{}
-	for _, p := range newPts {
-		newBy[fabricKey{p.Groups, p.Participants}] = p
-	}
-	keys := make([]fabricKey, 0, len(oldBy))
-	for k := range oldBy {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].groups != keys[j].groups {
-			return keys[i].groups < keys[j].groups
-		}
-		return keys[i].parts < keys[j].parts
-	})
-	fmt.Fprintf(out, "\n%-8s %6s %14s %14s %8s\n", "fabric", "P", "old joins/s", "new joins/s", "delta")
-	regressions := 0
-	var logSum float64
-	count := 0
-	for _, k := range keys {
-		o := oldBy[k]
-		n, ok := newBy[k]
-		if !ok {
-			fmt.Fprintf(out, "%-8d %6d %14.0f %14s %8s\n", k.groups, k.parts, o.JoinsPerSec, "-", "gone")
-			continue
-		}
-		delete(newBy, k)
-		delta := (n.JoinsPerSec - o.JoinsPerSec) / o.JoinsPerSec
-		mark := ""
-		if delta < -threshold { // throughput: losing joins/sec is the regression
-			mark = "  REGRESSION"
-			regressions++
-		}
-		if o.JoinsPerSec > 0 && n.JoinsPerSec > 0 {
-			logSum += math.Log(n.JoinsPerSec / o.JoinsPerSec)
-			count++
-		}
-		fmt.Fprintf(out, "%-8d %6d %14.0f %14.0f %+7.1f%%%s\n",
-			k.groups, k.parts, o.JoinsPerSec, n.JoinsPerSec, delta*100, mark)
-	}
-	for k, n := range newBy {
-		fmt.Fprintf(out, "%-8d %6d %14s %14.0f %8s\n", k.groups, k.parts, "-", n.JoinsPerSec, "new")
-	}
-	if count > 0 {
-		g := math.Exp(logSum / float64(count))
-		fmt.Fprintf(out, "geomean fabric joins/sec: %+.1f%% over %d shape(s)\n", (g-1)*100, count)
-	}
-	return regressions
-}
-
-// elasticKey identifies one elastic sweep shape across the two reports.
-type elasticKey struct {
-	parts, churn int
-}
-
-// diffElastic diffs the elastic (phaser churn sweep) points. Ns/round
-// is lower-is-better, so the regression direction matches the overhead
-// diff. Beyond the pairwise deltas, the summary restates the new
-// report's worst steady-state (churn 0) phaser/central ratio — the
-// PR's standing acceptance number, flagged when it exceeds 1.3x even
-// if the old report carried the same miss. Reports without elastic
-// points print nothing.
-func diffElastic(out io.Writer, oldPts, newPts []epcc.ElasticPoint, threshold float64) int {
-	if len(oldPts) == 0 && len(newPts) == 0 {
-		return 0
-	}
-	oldBy := map[elasticKey]epcc.ElasticPoint{}
-	for _, p := range oldPts {
-		oldBy[elasticKey{p.Participants, p.ChurnTarget}] = p
-	}
-	newBy := map[elasticKey]epcc.ElasticPoint{}
-	for _, p := range newPts {
-		newBy[elasticKey{p.Participants, p.ChurnTarget}] = p
-	}
-	keys := make([]elasticKey, 0, len(oldBy))
-	for k := range oldBy {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].parts != keys[j].parts {
-			return keys[i].parts < keys[j].parts
-		}
-		return keys[i].churn < keys[j].churn
-	})
-	fmt.Fprintf(out, "\n%-8s %8s %12s %12s %8s\n", "elastic", "churn/s", "old ns", "new ns", "delta")
-	regressions := 0
-	var logSum float64
-	count := 0
-	for _, k := range keys {
-		o := oldBy[k]
-		n, ok := newBy[k]
-		if !ok {
-			fmt.Fprintf(out, "%-8d %8d %12.1f %12s %8s\n", k.parts, k.churn, o.NsPerRound, "-", "gone")
-			continue
-		}
-		delete(newBy, k)
-		delta := (n.NsPerRound - o.NsPerRound) / o.NsPerRound
-		mark := ""
-		if delta > threshold {
-			mark = "  REGRESSION"
-			regressions++
-		}
-		if o.NsPerRound > 0 && n.NsPerRound > 0 {
-			logSum += math.Log(n.NsPerRound / o.NsPerRound)
-			count++
-		}
-		fmt.Fprintf(out, "%-8d %8d %12.1f %12.1f %+7.1f%%%s\n",
-			k.parts, k.churn, o.NsPerRound, n.NsPerRound, delta*100, mark)
-	}
-	for k, n := range newBy {
-		fmt.Fprintf(out, "%-8d %8d %12s %12.1f %8s\n", k.parts, k.churn, "-", n.NsPerRound, "new")
-	}
-	if count > 0 {
-		g := math.Exp(logSum / float64(count))
-		fmt.Fprintf(out, "geomean elastic ns/round: %+.1f%% over %d shape(s)\n", (g-1)*100, count)
-	}
-	printSteadyRatio(out, newPts)
-	return regressions
-}
-
-// elasticSteadyBound is the acceptance bound on the steady-state
-// phaser/central round-time ratio (the ISSUE's 1.3x).
-const elasticSteadyBound = 1.3
-
-// printSteadyRatio restates the new report's worst steady-state
-// (churn 0) phaser-over-central ratio and marks it when it exceeds the
-// acceptance bound. Reports without a churn-0 point print nothing.
-func printSteadyRatio(out io.Writer, pts []epcc.ElasticPoint) {
-	worst, have := 0.0, false
-	for _, p := range pts {
-		if p.ChurnTarget == 0 && p.BaselineNs > 0 {
-			if r := p.Ratio(); !have || r > worst {
-				worst, have = r, true
-			}
-		}
-	}
-	if !have {
-		return
-	}
-	mark := ""
-	if worst > elasticSteadyBound {
-		mark = fmt.Sprintf("  EXCEEDS %.1fx bound", elasticSteadyBound)
-	}
-	fmt.Fprintf(out, "worst steady-state phaser/central ratio (new report): %.2fx%s\n", worst, mark)
-}
-
 func load(path string) (report, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -367,24 +182,8 @@ func load(path string) (report, error) {
 	if err := json.Unmarshal(buf, &rep); err != nil {
 		return report{}, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(rep.Results) == 0 && len(rep.Fabric) == 0 && len(rep.Elastic) == 0 {
-		return report{}, fmt.Errorf("%s: no results", path)
-	}
-	// Fabric rows from before the parked engine was deleted carry their
-	// engine in a "mode" key; the parked rows measured that engine and
-	// must not pair with a current row of the same shape.
-	var engines struct {
-		Fabric []struct {
-			Mode string `json:"mode"`
-		} `json:"fabric"`
-	}
-	if err := json.Unmarshal(buf, &engines); err != nil {
-		return report{}, fmt.Errorf("%s: %w", path, err)
-	}
-	for _, p := range engines.Fabric {
-		if p.Mode == "parked" {
-			return report{}, fmt.Errorf("%s: fabric rows of the deleted parked engine (\"mode\":\"parked\"); compare reports of the one remaining engine", path)
-		}
+	if len(rep.Results) == 0 {
+		return report{}, fmt.Errorf("%s: no results (mode %q)", path, rep.Mode)
 	}
 	return rep, nil
 }

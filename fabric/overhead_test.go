@@ -16,8 +16,7 @@ import (
 )
 
 // joinLoop drives b.N rounds on each of the fabric's groups with P
-// closed-loop generators per group — the benchmark shape RunBench uses,
-// shrunk for testing.Benchmark.
+// closed-loop generators per group.
 func joinLoop(b *testing.B, f *Fabric, groups []*Group, p int) {
 	ctx := context.Background()
 	b.ResetTimer()

@@ -19,6 +19,11 @@ import (
 // Injector → Instrumented → barrier — so the injected delay happens
 // before the arrival stamp and shows up as that participant's arrival
 // skew, exactly like a genuinely slow worker would.
+//
+// The delay is large next to wake-up latency: on a 2-CPU host running
+// other race-enabled suites, the punctual participants' mean offsets
+// reach up to 4.8 ms per window whether the delay is 5 or 20 ms, so
+// at 5 ms their median could exceed a quarter of the culprit's offset.
 func TestStreamStragglerFaultInjection(t *testing.T) {
 	const (
 		p            = 4
@@ -26,7 +31,7 @@ func TestStreamStragglerFaultInjection(t *testing.T) {
 		slowPhases   = 3
 		cleanPhases  = 2
 		phaseRounds  = 10
-		injectedLate = 5 * time.Millisecond
+		injectedLate = 20 * time.Millisecond
 	)
 
 	var faults []faultinject.Fault
