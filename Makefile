@@ -37,8 +37,9 @@ check: build vet fmt race suites
 # start of a test name and must match at least one test of the
 # package. Listed: the fault-injection matrix, the streaming
 # detectors, the phase probes and drift scoreboard, the hierarchical
-# barrier and its group-size search, the fabric, and the elastic
-# phaser, team and fabric groups.
+# barrier and its group-size search, the fabric, the elastic phaser,
+# team and fabric groups, and the one stall detector (liveness counts,
+# dedup and poller) behind every watchdog.
 suites:
 	@set -f; for s in \
 		barrier:TestPhase[^r],TestHier,TestPhaser \
@@ -51,7 +52,8 @@ suites:
 		omp:TestElastic \
 		fabric:TestFabric,TestElastic,TestSweep \
 		internal/faultinject:Test.*Matrix,TestFabric,TestPhaser \
-		internal/pad:Test; \
+		internal/pad:Test \
+		internal/liveness:Test; \
 	do \
 		pkg=$${s%%:*}; names=$$($(GO) test -list . ./$$pkg/) || exit 1; \
 		for re in $$(echo "$${s#*:}" | tr , ' '); do \

@@ -55,6 +55,26 @@ type Barrier interface {
 	Name() string
 }
 
+// Unwrap returns the first barrier in b's decorator chain — b itself,
+// then each Inner() in turn (watchdogs, fault injectors, telemetry
+// wrappers) — that implements T. It is how a wrapper finds a
+// capability (SpinCounter, ParkCounter, PhaseProber, Membership) of the
+// barrier it decorates without the decorators forwarding it.
+func Unwrap[T any](b Barrier) (T, bool) {
+	for b != nil {
+		if t, ok := b.(T); ok {
+			return t, true
+		}
+		u, ok := b.(interface{ Inner() Barrier })
+		if !ok {
+			break
+		}
+		b = u.Inner()
+	}
+	var zero T
+	return zero, false
+}
+
 // CacheLineSize is the padding granularity used throughout this
 // repository. 128 bytes covers the 64-byte lines of the studied
 // machines plus adjacent-line prefetching, and matches Kunpeng920's

@@ -2,16 +2,15 @@ package barrier
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"armbarrier/internal/liveness"
 )
 
 // Watchdog wraps a Barrier and detects stuck episodes: each Wait stamps
 // the participant's arrival, and a checker (Check, or the background
-// goroutine Start runs) compares the oldest in-progress wait against a
+// poller Start runs) compares the oldest in-progress wait against a
 // deadline. When an episode stalls the watchdog reports *which*
 // participants are inside the barrier waiting (Waiting) and which never
 // arrived (Missing) — the wedged-team diagnosis the bare algorithms
@@ -26,30 +25,25 @@ import (
 // attribute a stall to a participant that is merely slow; its Deadline
 // must exceed the longest legitimate inter-barrier work time, or
 // healthy episodes will be reported. Stamping costs two atomic stores
-// and one add per Wait on otherwise-uncontended cachelines; wrap only
+// and one add per Wait on the participant's own padded line; wrap only
 // the barriers you want supervised.
 type Watchdog struct {
 	inner Barrier
 	cfg   WatchdogConfig
-	slots []wdSlot
-	// mem is non-nil when the wrapped barrier has elastic membership
-	// (Phaser): Check then restricts "Missing" to currently registered
-	// slots, so a deregistered party is never named.
+	// gens holds each participant's entry stamp (the start of its
+	// in-progress Wait) and its completed-episode count.
+	gens liveness.Gens
+	// mem, when the barrier chain has elastic membership (Phaser),
+	// restricts Missing to registered slots.
 	mem Membership
 
-	// stalls counts distinct stall reports; stalled is 1 while the most
-	// recent Check saw a stall.
-	stalls  atomic.Uint64
-	stalled atomic.Uint32
-	// lastKey dedups OnStall: a stall is "new" when the oldest waiter's
-	// entry stamp differs from the previous stall's.
-	lastKey atomic.Int64
+	// dedup fires OnStall once per stuck round and counts stalls; stalled is the last Check's verdict;
+	// last is the most recent distinct stall, never modified once stored.
+	dedup   liveness.Dedup
+	stalled atomic.Bool
+	last    atomic.Pointer[Stall]
 
-	mu        sync.Mutex
-	lastStall *Stall
-
-	stop chan struct{}
-	done chan struct{}
+	poll *liveness.Poller
 }
 
 // WatchdogConfig configures a Watchdog.
@@ -57,76 +51,32 @@ type WatchdogConfig struct {
 	// Deadline is how long an episode may stay incomplete after its
 	// first arrival before the watchdog reports a stall. Required; it
 	// must exceed the longest legitimate gap between the first and last
-	// participant's arrivals (inter-barrier work time included).
+	// participant's arrivals (inter-barrier work time included). The
+	// background checker (Start) polls every Deadline/4, floored at 1ms.
 	Deadline time.Duration
-	// Poll is the background checker's period (Start). Defaults to
-	// Deadline/4, floored at 1ms.
-	Poll time.Duration
 	// OnStall, if non-nil, is called once per distinct stall, from
 	// whichever goroutine ran the detecting Check. It must not call
 	// Wait on the watched barrier.
 	OnStall func(Stall)
 }
 
-// wdSlot is one participant's arrival stamp: entered is the monotonic
-// time its in-progress Wait began (0 = not waiting), rounds counts its
-// completed episodes. Padded like every other per-participant line.
-type wdSlot struct {
-	entered atomic.Int64
-	rounds  atomic.Uint64
-	_       [cacheLine - 16]byte
-}
-
-// Stall describes one stuck episode.
-type Stall struct {
-	// Barrier is the wrapped barrier's Name.
-	Barrier string `json:"barrier"`
-	// Age is how long the oldest in-progress wait had been blocked when
-	// the stall was detected.
-	Age time.Duration `json:"age_ns"`
-	// Round is the oldest waiter's completed-episode count — which
-	// episode is stuck.
-	Round uint64 `json:"round"`
-	// Waiting lists the participants blocked inside Wait, ascending.
-	Waiting []int `json:"waiting"`
-	// Missing lists the participants that have not arrived, ascending.
-	// Empty Missing with a stall means arrival completed but wake-up
-	// did not — a lost-wakeup signature.
-	Missing []int `json:"missing"`
-}
-
-// String formats the stall the way a log line wants it.
-func (s Stall) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "barrier %s stalled: round %d stuck for %v; waiting %v",
-		s.Barrier, s.Round, s.Age.Round(time.Millisecond), s.Waiting)
-	if len(s.Missing) > 0 {
-		fmt.Fprintf(&b, "; missing %v", s.Missing)
-	} else {
-		b.WriteString("; all participants waiting (lost wakeup?)")
-	}
-	return b.String()
-}
+// Stall describes one stuck episode. A Watchdog reports the oldest
+// waiter's Round and Age, the participants inside Wait as Waiting and
+// the members that are not as Missing.
+type Stall = liveness.Stall
 
 // NewWatchdog wraps b. It panics if cfg.Deadline is not positive.
 func NewWatchdog(b Barrier, cfg WatchdogConfig) *Watchdog {
 	if cfg.Deadline <= 0 {
 		panic("barrier: Watchdog needs a positive Deadline")
 	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = cfg.Deadline / 4
-		if cfg.Poll < time.Millisecond {
-			cfg.Poll = time.Millisecond
-		}
-	}
 	d := &Watchdog{
 		inner: b,
 		cfg:   cfg,
-		slots: make([]wdSlot, b.Participants()),
+		gens:  make(liveness.Gens, b.Participants()),
 	}
-	if m, ok := b.(Membership); ok {
-		d.mem = m
-	}
+	d.mem, _ = Unwrap[Membership](b)
+	d.poll = liveness.NewPoller(liveness.Period(cfg.Deadline), func() { d.Check() })
 	return d
 }
 
@@ -142,12 +92,11 @@ func (d *Watchdog) Inner() Barrier { return d.inner }
 // Wait implements Barrier, stamping the participant's arrival so a
 // concurrent Check can attribute a stall.
 func (d *Watchdog) Wait(id int) {
-	checkID(id, len(d.slots), d.inner.Name())
-	s := &d.slots[id]
-	s.entered.Store(monons())
+	checkID(id, len(d.gens), d.inner.Name())
+	d.gens.Enter(id, monons())
 	d.inner.Wait(id)
-	s.entered.Store(0)
-	s.rounds.Add(1)
+	d.gens.Enter(id, 0)
+	d.gens.Add(id)
 }
 
 // WaitDeadline implements DeadlineWaiter by forwarding to the wrapped
@@ -157,13 +106,12 @@ func (d *Watchdog) WaitDeadline(id int, timeout time.Duration) error {
 	if !ok {
 		return fmt.Errorf("barrier: %s does not implement DeadlineWaiter", d.inner.Name())
 	}
-	checkID(id, len(d.slots), d.inner.Name())
-	s := &d.slots[id]
-	s.entered.Store(monons())
+	checkID(id, len(d.gens), d.inner.Name())
+	d.gens.Enter(id, monons())
 	err := dw.WaitDeadline(id, timeout)
-	s.entered.Store(0)
+	d.gens.Enter(id, 0)
 	if err == nil {
-		s.rounds.Add(1)
+		d.gens.Add(id)
 	}
 	return err
 }
@@ -175,39 +123,28 @@ func (d *Watchdog) WaitDeadline(id int, timeout time.Duration) error {
 // first time a given stall is seen.
 func (d *Watchdog) Check() (Stall, bool) {
 	now := monons()
+	st := Stall{Name: d.inner.Name()}
 	oldest := int64(0)
-	for i := range d.slots {
-		if e := d.slots[i].entered.Load(); e != 0 && (oldest == 0 || e < oldest) {
-			oldest = e
-		}
-	}
-	if oldest == 0 || time.Duration(now-oldest) < d.cfg.Deadline {
-		d.stalled.Store(0)
-		return Stall{}, false
-	}
-	st := Stall{
-		Barrier: d.inner.Name(),
-		Age:     time.Duration(now - oldest),
-	}
-	for i := range d.slots {
-		if e := d.slots[i].entered.Load(); e != 0 {
+	for i := range d.gens {
+		if e := d.gens.Entered(i); e != 0 {
 			st.Waiting = append(st.Waiting, i)
-			if e == oldest {
-				st.Round = d.slots[i].rounds.Load()
+			if oldest == 0 || e < oldest {
+				oldest, st.Round = e, d.gens.Count(i)
 			}
 		} else if d.mem == nil || d.mem.IsMember(i) {
 			st.Missing = append(st.Missing, i)
 		}
 	}
-	sort.Ints(st.Waiting)
-	sort.Ints(st.Missing)
-	d.stalled.Store(1)
-	if d.lastKey.Swap(oldest) != oldest {
-		d.stalls.Add(1)
-		d.mu.Lock()
-		stCopy := st
-		d.lastStall = &stCopy
-		d.mu.Unlock()
+	if oldest == 0 || time.Duration(now-oldest) < d.cfg.Deadline {
+		d.stalled.Store(false)
+		return Stall{}, false
+	}
+	st.Age = time.Duration(now - oldest)
+	st.Arrived = len(st.Waiting)
+	st.Participants = len(st.Waiting) + len(st.Missing)
+	d.stalled.Store(true)
+	if d.dedup.Fresh(st.Round) {
+		d.last.Store(&st)
 		if d.cfg.OnStall != nil {
 			d.cfg.OnStall(st)
 		}
@@ -221,44 +158,21 @@ func (d *Watchdog) Check() (Stall, bool) {
 // own timeouts.
 func (d *Watchdog) Waiting() []int {
 	var ids []int
-	for i := range d.slots {
-		if d.slots[i].entered.Load() != 0 {
+	for i := range d.gens {
+		if d.gens.Entered(i) != 0 {
 			ids = append(ids, i)
 		}
 	}
 	return ids
 }
 
-// Start launches the background checker goroutine, polling Check every
-// cfg.Poll. Stop ends it. Start after Stop restarts it.
-func (d *Watchdog) Start() {
-	d.stop = make(chan struct{})
-	d.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		t := time.NewTicker(d.cfg.Poll)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				d.Check()
-			}
-		}
-	}(d.stop, d.done)
-}
+// Start launches the background checker, polling Check every
+// max(Deadline/4, 1ms); a no-op while it runs, a restart after Stop.
+func (d *Watchdog) Start() { d.poll.Start() }
 
-// Stop ends the background checker and waits for it to exit. No-op if
-// Start was never called.
-func (d *Watchdog) Stop() {
-	if d.stop == nil {
-		return
-	}
-	close(d.stop)
-	<-d.done
-	d.stop, d.done = nil, nil
-}
+// Stop ends the background checker and waits for it to exit. A no-op
+// when it is not running.
+func (d *Watchdog) Stop() { d.poll.Stop() }
 
 // WatchdogSnapshot is a point-in-time view of the watchdog's state,
 // consumable by the obs exporters.
@@ -276,7 +190,8 @@ type WatchdogSnapshot struct {
 	// WaitingNs is each participant's current in-progress wait age in
 	// nanoseconds, 0 when not waiting.
 	WaitingNs []int64 `json:"waiting_ns"`
-	// LastStall is the most recent distinct stall, nil if none yet.
+	// LastStall is the most recent distinct stall, nil if none yet;
+	// shared with the watchdog, so read-only.
 	LastStall *Stall `json:"last_stall,omitempty"`
 }
 
@@ -286,73 +201,24 @@ func (d *Watchdog) Snapshot() WatchdogSnapshot {
 	now := monons()
 	s := WatchdogSnapshot{
 		Barrier:      d.inner.Name(),
-		Participants: len(d.slots),
+		Participants: len(d.gens),
 		DeadlineNs:   int64(d.cfg.Deadline),
-		Stalls:       d.stalls.Load(),
-		Stalled:      d.stalled.Load() == 1,
-		Rounds:       make([]uint64, len(d.slots)),
-		WaitingNs:    make([]int64, len(d.slots)),
+		Stalls:       d.dedup.Count(),
+		Stalled:      d.stalled.Load(),
+		Rounds:       make([]uint64, len(d.gens)),
+		WaitingNs:    make([]int64, len(d.gens)),
+		LastStall:    d.last.Load(),
 	}
-	for i := range d.slots {
-		s.Rounds[i] = d.slots[i].rounds.Load()
-		if e := d.slots[i].entered.Load(); e != 0 {
+	for i := range d.gens {
+		s.Rounds[i] = d.gens.Count(i)
+		if e := d.gens.Entered(i); e != 0 {
 			s.WaitingNs[i] = now - e
 		}
 	}
-	d.mu.Lock()
-	if d.lastStall != nil {
-		st := *d.lastStall
-		s.LastStall = &st
-	}
-	d.mu.Unlock()
 	return s
-}
-
-// EnableSpinCounts implements SpinCounter by delegation; a no-op when
-// the wrapped barrier cannot count.
-func (d *Watchdog) EnableSpinCounts() {
-	if sc, ok := d.inner.(SpinCounter); ok {
-		sc.EnableSpinCounts()
-	}
-}
-
-// SpinCounts implements SpinCounter by delegation.
-func (d *Watchdog) SpinCounts(id int) (spins, yields uint64) {
-	if sc, ok := d.inner.(SpinCounter); ok {
-		return sc.SpinCounts(id)
-	}
-	return 0, 0
-}
-
-// ParkCounts implements ParkCounter by delegation.
-func (d *Watchdog) ParkCounts(id int) (parks, wakes uint64) {
-	if pc, ok := d.inner.(ParkCounter); ok {
-		return pc.ParkCounts(id)
-	}
-	return 0, 0
-}
-
-// IsMember implements Membership by delegation; true for every slot of
-// a fixed-membership barrier.
-func (d *Watchdog) IsMember(id int) bool {
-	if d.mem != nil {
-		return d.mem.IsMember(id)
-	}
-	return id >= 0 && id < len(d.slots)
-}
-
-// Registered implements Membership by delegation; Participants() for a
-// fixed-membership barrier.
-func (d *Watchdog) Registered() int {
-	if d.mem != nil {
-		return d.mem.Registered()
-	}
-	return len(d.slots)
 }
 
 var (
 	_ Barrier        = (*Watchdog)(nil)
 	_ DeadlineWaiter = (*Watchdog)(nil)
-	_ SpinCounter    = (*Watchdog)(nil)
-	_ ParkCounter    = (*Watchdog)(nil)
 )

@@ -44,13 +44,9 @@ func main() {
 
 	f := fabric.New(fabric.Config{
 		StallDeadline: 2 * time.Second,
-		OnStall: func(s fabric.Stall) {
-			log.Printf("stall: group %q round %d has %d/%d arrivals for %v (missing %v)",
-				s.Group, s.Round, s.Arrived, s.Participants, s.Age.Round(time.Millisecond), s.Missing)
-		},
+		OnStall:       func(s fabric.Stall) { log.Printf("stall: %s", s) },
 	})
 	defer f.Close()
-	f.StartWatchdog(500 * time.Millisecond)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /join", func(w http.ResponseWriter, r *http.Request) {

@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"armbarrier/internal/liveness"
 	"armbarrier/internal/pad"
 )
 
@@ -61,8 +62,9 @@ type Config struct {
 	// rollups entirely (round counts remain).
 	SampleEvery int
 	// StallDeadline is how long a round may stay incomplete after its
-	// first arrival before Check reports the group. 0 disables the
-	// watchdog.
+	// first arrival before Check reports the group. When positive, New
+	// starts a background Check every StallDeadline/4 (at least 1ms)
+	// that runs until Close; 0 disables the watchdog.
 	StallDeadline time.Duration
 	// OnStall, if non-nil, is called once per newly stalled (group,
 	// round) from whichever goroutine ran the detecting Check.
@@ -108,8 +110,9 @@ type Fabric struct {
 	closed  bool
 	workers sync.WaitGroup
 
-	wdStop chan struct{}
-	wdDone chan struct{}
+	// poll runs Check in the background; started only with a
+	// StallDeadline.
+	poll *liveness.Poller
 
 	base time.Time
 }
@@ -150,6 +153,10 @@ func New(cfg Config) *Fabric {
 	for i := 0; i < cfg.Workers; i++ {
 		go f.worker()
 	}
+	f.poll = liveness.NewPoller(liveness.Period(cfg.StallDeadline), func() { f.Check() })
+	if cfg.StallDeadline > 0 {
+		f.poll.Start()
+	}
 	return f
 }
 
@@ -169,7 +176,9 @@ type GroupConfig struct {
 	Participants int
 	// Track allocates per-participant arrival counters so ArriveAs
 	// calls let the watchdog name the missing participants of a stalled
-	// round. Costs P words per group; leave off for anonymous groups.
+	// round. Costs one padded line (128 bytes) per participant, so
+	// concurrent ArriveAs calls never share a line; leave off for
+	// anonymous groups.
 	Track bool
 	// Elastic lets the group's round size follow its membership: a
 	// Fabric.Group call reaching an existing elastic group with a
@@ -278,6 +287,24 @@ func (f *Fabric) Groups() int {
 	return n
 }
 
+// eachGroup calls fn on every registered group. Each shard's read lock
+// is held only long enough to copy its group list, so fn never blocks
+// the shard's creates, lookups or rounds.
+func (f *Fabric) eachGroup(fn func(*Group)) {
+	for i := range f.shards {
+		s := &f.shards[i]
+		s.mu.RLock()
+		groups := make([]*Group, 0, len(s.groups))
+		for _, g := range s.groups {
+			groups = append(groups, g)
+		}
+		s.mu.RUnlock()
+		for _, g := range groups {
+			fn(g)
+		}
+	}
+}
+
 // Sweep removes groups that have been idle — no round in flight and no
 // arrival — for at least idle, returning how many it collected. This
 // is the GC half of the lifecycle: a request-driven service creates
@@ -314,7 +341,7 @@ func (f *Fabric) Sweep(idle time.Duration) int {
 // watchdog. The Fabric must not be used afterwards; Arrive on a held
 // Group returns ErrClosed outcomes.
 func (f *Fabric) Close() {
-	f.StopWatchdog()
+	f.poll.Stop()
 	for i := range f.shards {
 		s := &f.shards[i]
 		s.mu.Lock()

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"armbarrier/internal/liveness"
 	"armbarrier/internal/pad"
 )
 
@@ -96,8 +97,8 @@ type groupMeta struct {
 	firstNs atomic.Int64
 	// lastNs is the last arrival or completion, for Sweep idleness.
 	lastNs atomic.Int64
-	// stallMark is 1 + the last round reported stalled (dedup).
-	stallMark atomic.Uint64
+	// stalls fires OnStall once per stalled round.
+	stalls liveness.Dedup
 }
 
 // Group is one named barrier group. All methods are safe for
@@ -119,9 +120,9 @@ type Group struct {
 
 	// st carries the sampled telemetry rollups; nil when disabled.
 	st *groupStats
-	// arrived is the optional per-participant cumulative arrival count
+	// tracked is the optional per-participant cumulative arrival count
 	// (Track), read by the watchdog to name missing participants.
-	arrived []atomic.Uint64
+	tracked liveness.Gens
 
 	closed atomic.Bool
 }
@@ -133,7 +134,7 @@ func (f *Fabric) newGroup(name string, cfg GroupConfig) *Group {
 		g.st = newGroupStats(uint64(f.cfg.SampleEvery))
 	}
 	if cfg.Track {
-		g.arrived = make([]atomic.Uint64, cfg.Participants)
+		g.tracked = make(liveness.Gens, cfg.Participants)
 	}
 	g.meta.V.lastNs.Store(f.monons())
 	return g
@@ -289,8 +290,8 @@ func (g *Group) publish(chain *waiter, ch chan Outcome, id int) {
 // countArrival bumps the per-participant cumulative counter for tracked
 // identities.
 func (g *Group) countArrival(id int) {
-	if id >= 0 && g.arrived != nil {
-		g.arrived[id].Add(1)
+	if id >= 0 && g.tracked != nil {
+		g.tracked.Add(id)
 	}
 }
 

@@ -191,7 +191,6 @@ func TestCloseLeaksNoGoroutine(t *testing.T) {
 			}
 		},
 	})
-	f.StartWatchdog(time.Millisecond)
 	ctx := context.Background()
 
 	for i, p := range []int{1, 3, 40} {
@@ -272,7 +271,7 @@ func TestWatchdogNamesMissing(t *testing.T) {
 		t.Fatalf("Check reported %d stalls, want 1: %+v", len(stalls), stalls)
 	}
 	st := stalls[0]
-	if st.Group != "wedged" || st.Round != 0 || st.Arrived != 2 || st.Participants != 3 {
+	if st.Name != "wedged" || st.Round != 0 || st.Arrived != 2 || st.Participants != 3 {
 		t.Fatalf("stall = %+v", st)
 	}
 	if len(st.Missing) != 1 || st.Missing[0] != 1 {
@@ -312,7 +311,8 @@ func TestWatchdogNamesMissing(t *testing.T) {
 	}
 }
 
-// TestWatchdogBackground runs the ticker variant end to end.
+// TestWatchdogBackground checks that a fabric with a StallDeadline
+// polls for stalls on its own, from New until Close.
 func TestWatchdogBackground(t *testing.T) {
 	ch := make(chan Stall, 4)
 	f := New(Config{
@@ -322,15 +322,12 @@ func TestWatchdogBackground(t *testing.T) {
 	defer f.Close()
 	g, _ := f.Group("w", GroupConfig{Participants: 2})
 	g.Arrive(context.Background())
-	f.StartWatchdog(2 * time.Millisecond)
 	select {
 	case st := <-ch:
-		if st.Group != "w" {
-			t.Fatalf("stall for %q, want w", st.Group)
+		if st.Name != "w" {
+			t.Fatalf("stall for %q, want w", st.Name)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("background watchdog never fired")
 	}
-	f.StopWatchdog()
-	f.StopWatchdog() // idempotent
 }

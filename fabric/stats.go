@@ -136,23 +136,14 @@ type FabricSnapshot struct {
 // groups).
 func (f *Fabric) Snapshot(detail bool) FabricSnapshot {
 	snap := FabricSnapshot{UptimeNs: f.monons()}
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.RLock()
-		groups := make([]*Group, 0, len(s.groups))
-		for _, g := range s.groups {
-			groups = append(groups, g)
+	f.eachGroup(func(g *Group) {
+		snap.Groups++
+		gs := g.Snapshot()
+		snap.TotalRounds += gs.Rounds
+		if detail {
+			snap.PerGroup = append(snap.PerGroup, gs)
 		}
-		s.mu.RUnlock()
-		for _, g := range groups {
-			snap.Groups++
-			gs := g.Snapshot()
-			snap.TotalRounds += gs.Rounds
-			if detail {
-				snap.PerGroup = append(snap.PerGroup, gs)
-			}
-		}
-	}
+	})
 	return snap
 }
 

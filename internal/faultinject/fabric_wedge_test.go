@@ -77,7 +77,7 @@ func TestFabricWedgedGroupIsolated(t *testing.T) {
 		giveUp := time.Now().Add(20 * time.Second)
 		for {
 			stalls := f.Check()
-			if len(stalls) == 1 && stalls[0].Group == "wedged" && stalls[0].Arrived == p-1 {
+			if len(stalls) == 1 && stalls[0].Name == "wedged" && stalls[0].Arrived == p-1 {
 				st = stalls[0]
 				break
 			}

@@ -292,32 +292,7 @@ func (in *Injector) await(f Fault, budget <-chan time.Time) bool {
 	}
 }
 
-// EnableSpinCounts implements barrier.SpinCounter by delegation.
-func (in *Injector) EnableSpinCounts() {
-	if sc, ok := in.inner.(barrier.SpinCounter); ok {
-		sc.EnableSpinCounts()
-	}
-}
-
-// SpinCounts implements barrier.SpinCounter by delegation.
-func (in *Injector) SpinCounts(id int) (spins, yields uint64) {
-	if sc, ok := in.inner.(barrier.SpinCounter); ok {
-		return sc.SpinCounts(id)
-	}
-	return 0, 0
-}
-
-// ParkCounts implements barrier.ParkCounter by delegation.
-func (in *Injector) ParkCounts(id int) (parks, wakes uint64) {
-	if pc, ok := in.inner.(barrier.ParkCounter); ok {
-		return pc.ParkCounts(id)
-	}
-	return 0, 0
-}
-
 var (
 	_ barrier.Barrier        = (*Injector)(nil)
 	_ barrier.DeadlineWaiter = (*Injector)(nil)
-	_ barrier.SpinCounter    = (*Injector)(nil)
-	_ barrier.ParkCounter    = (*Injector)(nil)
 )

@@ -166,13 +166,6 @@ func TestWaitDeadlineBudgetCoversStall(t *testing.T) {
 func TestInjectorDelegation(t *testing.T) {
 	b := barrier.NewCentral(2, barrier.WithWaitPolicy(barrier.SpinParkWait()))
 	in := Wrap(b)
-	in.EnableSpinCounts()
-	if s, y := in.SpinCounts(0); s != 0 || y != 0 {
-		t.Errorf("fresh SpinCounts = %d, %d", s, y)
-	}
-	if pk, wk := in.ParkCounts(0); pk != 0 || wk != 0 {
-		t.Errorf("fresh ParkCounts = %d, %d", pk, wk)
-	}
 	if in.Name() != "central+fault" || in.Participants() != 2 || in.Inner() != barrier.Barrier(b) {
 		t.Error("delegation identity mismatch")
 	}

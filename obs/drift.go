@@ -316,7 +316,7 @@ func NewDriftBoard(in *Instrumented, cfg DriftConfig) (*DriftBoard, error) {
 func driftFanIns(sched []int, in *Instrumented, arrLevels int) []int {
 	out := make([]int, arrLevels)
 	if len(sched) == 0 {
-		if pp := phaseProberOf(in.inner); pp != nil {
+		if pp, ok := barrier.Unwrap[barrier.PhaseProber](in.inner); ok {
 			if fs, ok := pp.(interface{ Schedule() []int }); ok {
 				sched = fs.Schedule()
 			}

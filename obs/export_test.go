@@ -125,8 +125,7 @@ func TestFormatFloatSpecials(t *testing.T) {
 
 // TestElasticSnapshotAndExport: instrumenting an elastic barrier must
 // surface the membership telemetry — discovered through an Inner()
-// chain (here a Watchdog, whose Membership delegation alone must not
-// satisfy the discovery; the counters come from the phaser itself) —
+// chain (here a Watchdog; the counters come from the phaser itself) —
 // in both the snapshot and the Prometheus exposition.
 func TestElasticSnapshotAndExport(t *testing.T) {
 	ph := barrier.NewPhaser(4)

@@ -168,10 +168,11 @@ type fusedShard struct {
 	_      [cacheLine - 8]byte
 }
 
-// Instrument wraps b. When b implements barrier.SpinCounter (all spin
-// barriers in package barrier do), per-participant poll counting is
-// enabled unless opts.NoSpinCounts is set. Instrument must be called
-// before any participant uses b.
+// Instrument wraps b. When b or a barrier it decorates (barrier.Unwrap)
+// implements barrier.SpinCounter (all spin barriers in package barrier
+// do), per-participant poll counting is enabled unless
+// opts.NoSpinCounts is set. Instrument must be called before any
+// participant uses b.
 func Instrument(b barrier.Barrier, opts Options) *Instrumented {
 	name := opts.Name
 	if name == "" {
@@ -189,15 +190,13 @@ func Instrument(b barrier.Barrier, opts Options) *Instrumented {
 		base:   time.Now(),
 		shards: make([]shard, b.Participants()),
 	}
-	if sc, ok := b.(barrier.SpinCounter); ok && !opts.NoSpinCounts {
+	if sc, ok := barrier.Unwrap[barrier.SpinCounter](b); ok && !opts.NoSpinCounts {
 		sc.EnableSpinCounts()
 		in.spins = sc
 	}
-	if pc, ok := b.(barrier.ParkCounter); ok {
-		in.parks = pc
-	}
+	in.parks, _ = barrier.Unwrap[barrier.ParkCounter](b)
 	if opts.Phases {
-		if pp := phaseProberOf(b); pp != nil {
+		if pp, ok := barrier.Unwrap[barrier.PhaseProber](b); ok {
 			arr, wake := pp.PhaseShape()
 			in.prober = pp
 			in.phases = newPhaseRecorder(in.base, in.p, arr, wake)
@@ -375,24 +374,6 @@ type elasticSource interface {
 	MembershipCounts() (registers, deregisters uint64)
 }
 
-// elasticSourceOf unwraps b through Inner() links (watchdogs, fault
-// injectors) until it finds an elasticSource, or nil. The Watchdog's
-// Membership delegation alone does not qualify — the counters must
-// come from the barrier that owns them.
-func elasticSourceOf(b barrier.Barrier) elasticSource {
-	for b != nil {
-		if es, ok := b.(elasticSource); ok {
-			return es
-		}
-		u, ok := b.(interface{ Inner() barrier.Barrier })
-		if !ok {
-			return nil
-		}
-		b = u.Inner()
-	}
-	return nil
-}
-
 // ElasticSnapshot is the membership telemetry of an elastic barrier at
 // Snapshot time. Present only when the instrumented barrier (or one it
 // decorates) has dynamic membership.
@@ -474,7 +455,7 @@ func (in *Instrumented) Snapshot() Snapshot {
 	if in.phases != nil {
 		s.Phases = in.phases.snapshot()
 	}
-	if es := elasticSourceOf(in.inner); es != nil {
+	if es, ok := barrier.Unwrap[elasticSource](in.inner); ok {
 		regs, deregs := es.MembershipCounts()
 		s.Elastic = &ElasticSnapshot{
 			Registered:  es.Registered(),

@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"armbarrier/barrier"
+	"armbarrier/internal/faultinject"
 )
 
 // runUntilStopped drives b with all participants until stop closes.
@@ -203,6 +204,37 @@ func TestInstrumentParkCounts(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("exposition missing %s", want)
 		}
+	}
+}
+
+// TestInstrumentCountsThroughDecorators instruments a barrier behind a
+// fault injector and a watchdog, neither of which forwards the
+// counters: Instrument must still find the spin and park counters on
+// the barrier that owns them.
+func TestInstrumentCountsThroughDecorators(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	const p, rounds = 4, 20
+	b := barrier.New(p, barrier.WithWaitPolicy(barrier.SpinParkWait()))
+	in := Instrument(faultinject.Wrap(barrier.NewWatchdog(b, barrier.WatchdogConfig{Deadline: time.Minute})), Options{})
+	barrier.Run(in, func(id int) {
+		for r := 0; r < rounds; r++ {
+			if id == 0 {
+				time.Sleep(200 * time.Microsecond)
+			}
+			in.Wait(id)
+		}
+	})
+	var spins, parks uint64
+	for _, ps := range in.Snapshot().PerParti {
+		spins += ps.Spins
+		parks += ps.Parks
+	}
+	if spins == 0 {
+		t.Error("no spins counted through the decorators")
+	}
+	if parks == 0 {
+		t.Error("no parks counted through the decorators")
 	}
 }
 

@@ -283,19 +283,3 @@ func (p *PhaseSnapshot) merge(o *PhaseSnapshot) *PhaseSnapshot {
 	}
 	return out
 }
-
-// phaseProberOf unwraps b through Inner() links (fault injectors,
-// other decorators) until it finds a barrier.PhaseProber, or nil.
-func phaseProberOf(b barrier.Barrier) barrier.PhaseProber {
-	for b != nil {
-		if pp, ok := b.(barrier.PhaseProber); ok {
-			return pp
-		}
-		u, ok := b.(interface{ Inner() barrier.Barrier })
-		if !ok {
-			return nil
-		}
-		b = u.Inner()
-	}
-	return nil
-}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"armbarrier/barrier"
+	"armbarrier/internal/liveness"
 	"armbarrier/tune"
 )
 
@@ -55,9 +56,7 @@ type Stream struct {
 	// cumulative totals for the counter-typed exports
 	totTimeouts, totPanics, totStalls uint64
 
-	runMu sync.Mutex // serializes Start/Stop
-	stop  chan struct{}
-	done  chan struct{}
+	rotator *liveness.Poller
 }
 
 // DefaultWindow is the default rotation interval. One second keeps the
@@ -173,9 +172,8 @@ func NewStream(in *Instrumented, opts StreamOptions) *Stream {
 		det:         newDetectors(opts.Detect),
 		alertCounts: make(map[AlertKind]uint64),
 	}
-	if opts.Watchdog != nil {
-		s.prevStalls = opts.Watchdog.Snapshot().Stalls
-	}
+	s.prevStalls = s.prevStallCount()
+	s.rotator = liveness.NewPoller(opts.Window, s.Rotate)
 	return s
 }
 
@@ -191,42 +189,15 @@ func (s *Stream) RecordTimeout() { s.timeouts.Add(1) }
 // current window.
 func (s *Stream) RecordPanic() { s.panics.Add(1) }
 
-// Start launches the background rotator. Stop halts it; Start after
-// Stop restarts it.
-func (s *Stream) Start() {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	if s.stop != nil {
-		return // already running
-	}
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		t := time.NewTicker(s.window)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				s.Rotate()
-			case <-stop:
-				return
-			}
-		}
-	}(s.stop, s.done)
-}
+// Start launches the background rotator. Stop halts it; Start while
+// it runs is a no-op, and Start after Stop restarts it.
+func (s *Stream) Start() { s.rotator.Start() }
 
 // Stop halts the background rotator and flushes the in-progress
 // partial window so short runs still produce a series. Safe to call
 // without Start (it just flushes).
 func (s *Stream) Stop() {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	if s.stop != nil {
-		close(s.stop)
-		<-s.done
-		s.stop, s.done = nil, nil
-	}
+	s.rotator.Stop()
 	s.Rotate()
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -397,9 +398,11 @@ func TestStreamRecordTimeoutPanic(t *testing.T) {
 
 // TestStreamStartStop runs the real background rotator over a real
 // barrier: the windowed rounds must account for every completed round,
-// including the partial window Stop flushes.
+// including the partial window Stop flushes, and no rotator goroutine
+// may outlive Stop, even after a double Start.
 func TestStreamStartStop(t *testing.T) {
 	const p, rounds = 2, 400
+	base := runtime.NumGoroutine()
 	in := Instrument(barrier.New(p), Options{Name: "lifecycle", SampleEvery: 1})
 	st := NewStream(in, StreamOptions{Window: 5 * time.Millisecond})
 	st.Start()
@@ -426,6 +429,15 @@ func TestStreamStartStop(t *testing.T) {
 	// Restart works.
 	st.Start()
 	st.Stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after Stop, baseline %d:\n%s", runtime.NumGoroutine(), base, buf)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestTimelineHandlerServesSeries is the third acceptance criterion:

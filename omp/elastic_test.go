@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"armbarrier/barrier"
+	"armbarrier/internal/liveness"
 )
 
 // sumTo checks a worksharing loop at the team's current size: every
@@ -122,7 +123,7 @@ func TestElasticCloseWithinNamesOnlyMembers(t *testing.T) {
 	}
 	wedged := &Team{b: ph, ph: ph, p: 2, regions: 1}
 	wedged.parties = make([]*barrier.Party, 4)
-	wedged.progress = make([]paddedProgress, 4)
+	wedged.progress = make(liveness.Gens, 4)
 	wedged.fusedDone = make([]fusedFlag, 4)
 	err := wedged.CloseWithin(50 * time.Millisecond)
 	if err == nil {

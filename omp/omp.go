@@ -18,10 +18,10 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"armbarrier/barrier"
+	"armbarrier/internal/liveness"
 )
 
 // Team is a fixed group of worker goroutines that execute parallel
@@ -60,7 +60,7 @@ type Team struct {
 	// regions participant tid has fully joined. A worker whose progress
 	// lags regions after a Close deadline expires is stuck.
 	regions  uint64
-	progress []paddedProgress
+	progress liveness.Gens
 	// fusedDone[tid] marks that tid's fused-region body reached its
 	// collective (the region's join). Owner-only: set by the collective
 	// wrapper, consumed by runBody's defer to decide whether a stand-in
@@ -70,11 +70,6 @@ type Team struct {
 	// raised in the current region; the master re-raises it after the
 	// join.
 	pan panicBox
-}
-
-type paddedProgress struct {
-	v atomic.Uint64
-	_ [barrier.CacheLineSize - 8]byte
 }
 
 type fusedFlag struct {
@@ -118,7 +113,7 @@ func NewTeam(p int, b barrier.Barrier) (*Team, error) {
 	}
 	t := &Team{b: b, p: p}
 	t.col, _ = b.(barrier.Collective)
-	t.progress = make([]paddedProgress, p)
+	t.progress = make(liveness.Gens, p)
 	t.fusedDone = make([]fusedFlag, p)
 	t.started.Add(p - 1)
 	for id := 1; id < p; id++ {
@@ -159,7 +154,7 @@ func NewElasticTeam(p, capacity int, opts ...barrier.Option) (*Team, error) {
 		}
 		t.parties[tid] = pt
 	}
-	t.progress = make([]paddedProgress, capacity)
+	t.progress = make(liveness.Gens, capacity)
 	t.fusedDone = make([]fusedFlag, capacity)
 	t.started.Add(p - 1)
 	for id := 1; id < p; id++ {
@@ -208,7 +203,7 @@ func (t *Team) Resize(q int) error {
 			t.parties[tid] = pt
 			// Start the newcomer's progress at the forked-region count
 			// so it is not mistaken for a worker stuck since region 0.
-			t.progress[tid].v.Store(t.regions)
+			t.progress.Store(tid, t.regions)
 			t.started.Add(1)
 			go t.worker(tid)
 		}
@@ -292,7 +287,7 @@ func (t *Team) runBody(id int, work func(tid int), fused bool) {
 		if !fused || !t.takeFusedDone(id) {
 			t.b.Wait(id) // join: implicit end-of-region barrier
 		}
-		t.progress[id].v.Add(1)
+		t.progress.Add(id)
 		if goexit && id != 0 {
 			go t.workerLoop(id)
 		}
@@ -499,16 +494,17 @@ func (t *Team) CloseWithin(d time.Duration) error {
 
 // stuckWorkers names the workers that plausibly wedged a closing team:
 // those whose join progress lags the forked-region count, plus — when
-// the team's barrier tracks arrivals (barrier.Watchdog) — those not
-// currently waiting inside the barrier.
+// the team's barrier chain tracks arrivals (barrier.Watchdog) — those
+// not currently waiting inside the barrier.
 func (t *Team) stuckWorkers() []int {
+	worker := func(id int) bool { return id >= 1 && id < t.p }
 	stuck := make(map[int]bool)
-	for id := 1; id < t.p; id++ {
-		if t.progress[id].v.Load() < t.regions {
+	if t.regions > 0 {
+		for _, id := range t.progress.Missing(t.regions-1, worker) {
 			stuck[id] = true
 		}
 	}
-	if at, ok := t.b.(interface{ Waiting() []int }); ok {
+	if at, ok := barrier.Unwrap[interface{ Waiting() []int }](t.b); ok {
 		waiting := make(map[int]bool)
 		for _, id := range at.Waiting() {
 			waiting[id] = true

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"armbarrier/barrier"
+	"armbarrier/internal/faultinject"
+	"armbarrier/internal/liveness"
 )
 
 // robustnessPolicies is the wait-policy sweep the panic-regression
@@ -196,7 +198,7 @@ func TestCloseWithinHealthyTeam(t *testing.T) {
 func TestCloseWithinWedgedTeam(t *testing.T) {
 	t.Run("progress", func(t *testing.T) {
 		wedged := &Team{b: barrier.NewCentral(3), p: 3}
-		wedged.progress = make([]paddedProgress, 3)
+		wedged.progress = make(liveness.Gens, 3)
 		wedged.fusedDone = make([]fusedFlag, 3)
 		wedged.regions = 1 // one region forked, no worker ever joined
 		err := wedged.CloseWithin(50 * time.Millisecond)
@@ -217,13 +219,72 @@ func TestCloseWithinWedgedTeam(t *testing.T) {
 			Deadline: 10 * time.Millisecond,
 		})
 		wedged := &Team{b: wd, p: 3}
-		wedged.progress = make([]paddedProgress, 3)
+		wedged.progress = make(liveness.Gens, 3)
 		wedged.fusedDone = make([]fusedFlag, 3)
 		err := wedged.CloseWithin(50 * time.Millisecond)
 		if err == nil || !strings.Contains(err.Error(), "[1 2]") {
 			t.Errorf("error %v does not name stuck participants [1 2]", err)
 		}
 	})
+	t.Run("watchdog under fault injector", func(t *testing.T) {
+		// The watchdog's arrival stamps are found through the
+		// injector's Inner link, not only when the watchdog is the
+		// team's barrier itself.
+		wd := barrier.NewWatchdog(barrier.NewCentral(3), barrier.WatchdogConfig{
+			Deadline: 10 * time.Millisecond,
+		})
+		wedged := &Team{b: faultinject.Wrap(wd), p: 3}
+		wedged.progress = make(liveness.Gens, 3)
+		wedged.fusedDone = make([]fusedFlag, 3)
+		err := wedged.CloseWithin(50 * time.Millisecond)
+		if err == nil || !strings.Contains(err.Error(), "[1 2]") {
+			t.Errorf("error %v does not name stuck participants [1 2]", err)
+		}
+	})
+}
+
+// TestTeamCloseLeaksNoGoroutine closes a fixed team, an elastic team that
+// grew and shrank, and a team whose worker Goexited and was replaced:
+// every worker goroutine must be gone afterwards.
+func TestTeamCloseLeaksNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	fixed := MustTeam(4, barrier.New(4))
+	fixed.For(100, func(i, tid int) {})
+	fixed.Close()
+
+	elastic, err := NewElasticTeam(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []int{4, 3, 1, 2} {
+		if err := elastic.Resize(q); err != nil {
+			t.Fatalf("Resize(%d): %v", q, err)
+		}
+		elastic.Parallel(func(tid int) {})
+	}
+	elastic.Close()
+
+	respawned := MustTeam(3, barrier.New(3))
+	func() {
+		defer func() { _ = recover() }()
+		respawned.Parallel(func(tid int) {
+			if tid == 2 {
+				runtime.Goexit()
+			}
+		})
+	}()
+	respawned.Parallel(func(tid int) {})
+	respawned.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after Close, baseline %d:\n%s", runtime.NumGoroutine(), base, buf)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // notADeadlineWaiter is a Barrier without WaitDeadline.
