@@ -38,8 +38,9 @@ check: build vet fmt race suites
 # package. Listed: the fault-injection matrix, the streaming
 # detectors, the phase probes and drift scoreboard, the hierarchical
 # barrier and its group-size search, the fabric, the elastic phaser,
-# team and fabric groups, and the one stall detector (liveness counts,
-# dedup and poller) behind every watchdog.
+# team and fabric groups, the one stall detector (liveness counts,
+# dedup and poller) behind every watchdog, and the simulator kernel's
+# goroutine-leak check.
 suites:
 	@set -f; for s in \
 		barrier:TestPhase[^r],TestHier,TestPhaser \
@@ -48,7 +49,7 @@ suites:
 		model:TestHier \
 		hostlat:TestCachedMemoizes \
 		tune:TestSearchHierGroupSizes,TestMeasureHierGroupSizes \
-		sim:TestPhaser \
+		sim:TestPhaser,TestRunLeavesNoGoroutine \
 		omp:TestElastic \
 		fabric:TestFabric,TestElastic,TestSweep \
 		internal/faultinject:Test.*Matrix,TestFabric,TestPhaser \
@@ -62,14 +63,18 @@ suites:
 		done; \
 	done
 
-# One quick pass over every barrierbench mode and example server: one
-# run per wait policy, the fused allreduce, an injected stall the
+# One quick pass over every barrierbench mode and example server, after
+# the reproduction gate (barriersim's default run must reproduce
+# results/experiments.txt byte for byte): one run per wait policy, the fused allreduce, an injected stall the
 # watchdog must report, the windowed stream, the phase probes with the
 # model-drift scoreboard, a 1024-participant spinpark round of the
 # two-level barrier (the oversubscribed regime it exists for), then one
 # -once burst of the observed example (timeline and scoreboard) and of
 # the fabric server (its /debug/fabric snapshot).
 smoke:
+	@{ $(GO) run ./cmd/barriersim || echo "barriersim exited $$?"; } | \
+		diff -u results/experiments.txt - && \
+		echo "== barriersim output matches results/experiments.txt =="
 	@for w in spin spinyield spinpark adaptive; do \
 		echo "== wait=$$w =="; \
 		$(GO) run ./cmd/barrierbench -algos optimized -threads 4 \

@@ -1,3 +1,11 @@
+//go:build go1.23
+
+// The kernel runs each simulated thread on an iter.Pull coroutine,
+// which needs Go 1.23. go.mod stays at go 1.22 because the perfbench
+// module requires this one and pins go 1.22, and a module's go line may
+// not be older than its dependencies'. This constraint raises only this
+// file's language version; package sim needs a Go 1.23 toolchain.
+
 // Package sim is a deterministic discrete-event simulator of the
 // cache-coherent many-core machines described by package topology. It
 // executes real algorithm control flow — loads, stores, atomics and
@@ -14,14 +22,17 @@
 // same relative costs as on the real machines without requiring the
 // hardware.
 //
-// Concurrency model: every simulated thread is a goroutine, but the
-// kernel resumes exactly one at a time — always the thread with the
-// smallest (virtual time, thread ID) — so execution is sequential,
-// reproducible, and needs no locks.
+// Concurrency model: every simulated thread is a coroutine (iter.Pull),
+// and the kernel resumes exactly one at a time — always the thread with
+// the smallest (virtual time, thread ID), kept at the head of a ready
+// heap — so execution is sequential, reproducible, and needs no locks.
+// A thread whose memory operation is still the global minimum runs on
+// without switching.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"armbarrier/topology"
@@ -115,9 +126,10 @@ type Kernel struct {
 	lines []*line
 
 	threads []*Thread
-	yield   chan *Thread
-	ran     bool
-	stats   Stats
+	// ready holds the runnable threads other than the running one.
+	ready readyHeap
+	ran   bool
+	stats Stats
 	// netFreeAt is when the on-chip interconnect next accepts a remote
 	// transfer; concurrent remote operations serialize by the
 	// machine's NetworkOccupancy, scaled by transfer distance.
@@ -208,7 +220,6 @@ func New(cfg Config) (*Kernel, error) {
 		machine:          cfg.Machine,
 		placement:        cfg.Placement,
 		trace:            cfg.Trace,
-		yield:            make(chan *Thread),
 		minRemoteLatency: minRemote,
 		netLastSeq:       -1,
 	}
@@ -290,7 +301,9 @@ func (k *Kernel) checkAddr(a Addr) int {
 // Run executes fn once per simulated thread (distinguished by
 // Thread.ID) and returns when every thread finishes. It may be called
 // once per Kernel. It panics on deadlock — every live thread blocked on
-// a line no one will ever write — identifying the stuck threads.
+// a line no one will ever write — identifying the stuck threads. A
+// panic in fn reaches Run's caller unchanged. Either way no simulated
+// thread outlives Run.
 func (k *Kernel) Run(fn func(t *Thread)) {
 	if k.ran {
 		panic("sim: Run called twice")
@@ -298,65 +311,87 @@ func (k *Kernel) Run(fn func(t *Thread)) {
 	k.ran = true
 	n := len(k.placement)
 	k.threads = make([]*Thread, n)
-	for i := 0; i < n; i++ {
-		k.threads[i] = &Thread{
-			id:      i,
-			core:    k.placement[i],
-			kernel:  k,
-			resume:  make(chan struct{}),
-			state:   stateRunnable,
-			wakeSeq: -1,
-		}
-	}
-	for _, t := range k.threads {
-		go func(t *Thread) {
-			// Register, then wait for the first schedule.
-			k.yield <- t
-			<-t.resume
+	next := make([]func() (struct{}, bool), n)
+	stop := make([]func(), n)
+	for i := range k.threads {
+		t := &Thread{id: i, core: k.placement[i], kernel: k, wakeSeq: -1}
+		k.threads[i] = t
+		next[i], stop[i] = iter.Pull(func(yield func(struct{}) bool) {
+			t.yield = yield
 			defer func() {
-				// Propagate panics (bad address, program bug) to the
-				// Run caller instead of killing the process from a
-				// detached goroutine.
-				t.panicked = recover()
-				t.state = stateDone
-				k.yield <- t
+				if r := recover(); r != nil && r != (stopped{}) {
+					panic(r)
+				}
 			}()
 			fn(t)
-		}(t)
+			t.state = stateDone
+		})
+		k.ready.push(t)
 	}
-	// Wait for all threads to register so the very first pick is
-	// deterministic regardless of goroutine start order.
-	for i := 0; i < n; i++ {
-		<-k.yield
-	}
+	// Unwind every thread still suspended when Run returns or panics.
+	defer func() {
+		for _, s := range stop {
+			s()
+		}
+	}()
 	for {
-		t := k.pick()
+		t := k.ready.pop()
 		if t == nil {
 			if k.allDone() {
 				return
 			}
 			panic(k.deadlockReport())
 		}
-		t.resume <- struct{}{}
-		y := <-k.yield
-		if y.panicked != nil {
-			panic(y.panicked)
-		}
+		next[t.id]()
 	}
 }
 
-// pick returns the runnable thread with the smallest (now, id), or nil.
-func (k *Kernel) pick() *Thread {
-	var best *Thread
-	for _, t := range k.threads {
-		if t.state != stateRunnable {
-			continue
+// stopped is the panic that unwinds a thread whose coroutine Run
+// stopped; the coroutine recovers it.
+type stopped struct{}
+
+// readyHeap is a min-heap of threads keyed on (now, id), the order in
+// which the kernel resumes them.
+type readyHeap []*Thread
+
+func (h *readyHeap) push(t *Thread) {
+	s := append(*h, t)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s[i].before(s[p]) {
+			break
 		}
-		if best == nil || t.now < best.now || (t.now == best.now && t.id < best.id) {
-			best = t
-		}
+		s[i], s[p] = s[p], s[i]
+		i = p
 	}
-	return best
+	*h = s
+}
+
+// pop removes and returns the smallest thread, or nil when h is empty.
+func (h *readyHeap) pop() *Thread {
+	s := *h
+	if len(s) == 0 {
+		return nil
+	}
+	top, n := s[0], len(s)-1
+	s[0], s[n] = s[n], nil
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1].before(s[c]) {
+			c++
+		}
+		if !s[c].before(s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
 }
 
 func (k *Kernel) allDone() bool {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"armbarrier/topology"
 )
@@ -477,4 +479,67 @@ func TestThreadAccessors(t *testing.T) {
 			panic("core mapping wrong")
 		}
 	})
+}
+
+// TestRunLeavesNoGoroutine runs 8-thread programs that complete, panic
+// in one thread while the others spin, and deadlock, and checks that no
+// simulated thread outlives Run in any of them. The program's panic
+// value must still reach Run's caller.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	type boom struct{}
+	cases := []struct {
+		name string
+		prog func(a Addr) func(*Thread)
+		want func(r any) bool
+	}{
+		{"complete", func(a Addr) func(*Thread) {
+			return func(t *Thread) {
+				if t.ID() == 0 {
+					t.Store(a, 1)
+				}
+				t.SpinUntilEqual(a, 1)
+			}
+		}, func(r any) bool { return r == nil }},
+		{"panic", func(a Addr) func(*Thread) {
+			return func(t *Thread) {
+				t.Load(a)
+				if t.ID() == 3 {
+					panic(boom{})
+				}
+				t.SpinUntilEqual(a, 1)
+			}
+		}, func(r any) bool { return r == boom{} }},
+		{"deadlock", func(a Addr) func(*Thread) {
+			return func(t *Thread) { t.SpinUntilEqual(a, 1) }
+		}, func(r any) bool {
+			msg, ok := r.(string)
+			return ok && strings.Contains(msg, "deadlock")
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			for i := 0; i < 50; i++ {
+				k := newTestKernel(t, topology.XeonGold(), 8)
+				a := k.Alloc(1)[0]
+				r := func() (r any) {
+					defer func() { r = recover() }()
+					k.Run(c.prog(a))
+					return nil
+				}()
+				if !c.want(r) {
+					t.Fatalf("Run recovered %v", r)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					buf = buf[:runtime.Stack(buf, true)]
+					t.Fatalf("%d goroutines after Run, baseline %d:\n%s", runtime.NumGoroutine(), base, buf)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
 }

@@ -4,19 +4,18 @@ import "fmt"
 
 // Thread is one simulated hardware thread, pinned to a core. All
 // methods must be called from inside the function passed to Kernel.Run,
-// on the Thread the kernel handed that invocation.
+// on the coroutine Run handed that Thread.
 type Thread struct {
 	id     int
 	core   int
 	kernel *Kernel
 	now    float64
-	resume chan struct{}
 	state  threadState
+	// yield suspends the thread's coroutine until Run resumes it; it
+	// returns false once Run has stopped the coroutine.
+	yield func(struct{}) bool
 	// waitLine is the line this thread is blocked on while waiting.
 	waitLine int
-	// panicked records a panic raised by the thread's program so the
-	// kernel can re-raise it on the Run caller's goroutine.
-	panicked any
 	// loadStreak counts back-to-back remote loads of distinct lines
 	// with no intervening store, atomic, wait or compute: such loads
 	// overlap in hardware (memory-level parallelism), so the 2nd and
@@ -53,13 +52,30 @@ func (t *Thread) Compute(ns float64) {
 	t.now += ns
 }
 
-// sync hands control back to the kernel and blocks until this thread is
-// again the globally-minimal runnable thread. Every memory operation
-// passes through sync first so operations apply in virtual-time order.
+// before orders threads by (now, id), the kernel's resume order.
+func (t *Thread) before(u *Thread) bool {
+	return t.now < u.now || (t.now == u.now && t.id < u.id)
+}
+
+// sync returns once this thread is the globally-minimal runnable
+// thread. Every memory operation passes through sync first so
+// operations apply in virtual-time order. A thread that is still the
+// minimum runs on without a switch.
 func (t *Thread) sync() {
-	t.state = stateRunnable
-	t.kernel.yield <- t
-	<-t.resume
+	k := t.kernel
+	if len(k.ready) == 0 || t.before(k.ready[0]) {
+		return
+	}
+	k.ready.push(t)
+	t.suspend()
+}
+
+// suspend returns control to Run until it resumes this thread. A thread
+// whose coroutine Run stopped unwinds instead.
+func (t *Thread) suspend() {
+	if !t.yield(struct{}{}) {
+		panic(stopped{})
+	}
 }
 
 // Load reads a variable. A hit in the local cache costs ε; a miss is a
@@ -300,6 +316,7 @@ func (t *Thread) commitWrite(ln *line, seq int) {
 		}
 		w.state = stateRunnable
 		w.wakeSeq = seq
+		k.ready.push(w)
 		k.stats.Wakeups++
 		k.emit(Event{Time: commit, Thread: w.id, Core: w.core, Kind: OpWake, Cost: 0,
 			Seq: -1, BlockedBy: seq, Block: "wake"})
@@ -335,6 +352,5 @@ func (t *Thread) wait(a Addr) {
 	t.state = stateWaiting
 	t.waitLine = ln.id
 	ln.waiters = append(ln.waiters, t)
-	k.yield <- t
-	<-t.resume
+	t.suspend()
 }
