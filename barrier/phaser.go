@@ -164,9 +164,12 @@ type Phaser struct {
 
 	slots []phaserSlot
 
-	// regMu serializes slot allocation only (smallest free slot wins,
-	// so a team registering k parties on a fresh phaser gets ids
-	// 0..k-1); the membership transition itself is the lock-free CAS.
+	// regMu serializes slot allocation (smallest free slot wins, so a
+	// team registering k parties on a fresh phaser gets ids 0..k-1).
+	// Register's membership transition is the lock-free CAS; Deregister
+	// holds regMu across its CAS and the slot release, so a Register
+	// that starts after the round the departure resolved or unblocked
+	// sees the slot free.
 	regMu sync.Mutex
 	inUse []bool
 
@@ -306,7 +309,8 @@ func (p *Party) WaitDeadline(timeout time.Duration) error {
 // the round: the leaver performs the resolution (the "absorbed without
 // wedging" guarantee). If the party registered mid-round and never
 // waited, its pre-claimed arrival is withdrawn with its membership.
-// The slot becomes reusable by future Registers; the handle is dead.
+// The slot is free for Register again before the round this departure
+// resolves (or lets resolve) releases anyone; the handle is dead.
 func (p *Party) Deregister() {
 	b, id := p.ph, p.id
 	s := &b.slots[id]
@@ -318,6 +322,7 @@ func (p *Party) Deregister() {
 	backoff := uint32(1)
 	var resolveGen uint32
 	resolved := false
+	b.regMu.Lock()
 	for {
 		w := b.state.V.Load()
 		e, a, n := phUnpack(w)
@@ -349,13 +354,12 @@ func (p *Party) Deregister() {
 done:
 	s.pending = false
 	s.registered.Store(false)
+	b.inUse[id] = false
+	b.regMu.Unlock()
 	b.deregs.V.Add(1)
 	if resolved {
 		b.resolve(resolveGen, id)
 	}
-	b.regMu.Lock()
-	b.inUse[id] = false
-	b.regMu.Unlock()
 }
 
 // Wait implements Barrier for the party registered on slot id: it

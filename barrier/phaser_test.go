@@ -209,6 +209,48 @@ func TestPhaserDeregisterAbsorbsPendingArrival(t *testing.T) {
 	done.Wait()
 }
 
+// TestPhaserDeregisterFreesSlotBeforeRelease: a waiter released by the
+// round a Deregister resolves registers at once and must be handed the
+// departed slot — omp.Team.Resize shrinks and grows back to back
+// and relies on slots allocating in tid order.
+func TestPhaserDeregisterFreesSlotBeforeRelease(t *testing.T) {
+	const iters = 20000
+	b := NewPhaser(3)
+	parties := registerN(t, b, 2)
+	stayer, leaver := parties[0], parties[1]
+	wrong := 0
+	for i := 0; i < iters; i++ {
+		got := make(chan *Party)
+		go func() {
+			stayer.Wait()
+			p, err := b.Register()
+			if err != nil {
+				t.Errorf("iteration %d: Register: %v", i, err)
+			}
+			got <- p
+		}()
+		for phArrived(b) == 0 {
+			runtime.Gosched()
+		}
+		leaver.Deregister() // resolves the stayer's round
+		if leaver = <-got; leaver == nil {
+			return
+		}
+		if leaver.ID() != 1 {
+			// Deregister has returned by now, so slot 1 is free.
+			wrong++
+			leaver.Deregister()
+			var err error
+			if leaver, err = b.Register(); err != nil || leaver.ID() != 1 {
+				t.Fatalf("iteration %d: retry got %v, %v; want slot 1", i, leaver, err)
+			}
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of %d re-registrations after a release were handed a slot other than the departed one", wrong, iters)
+	}
+}
+
 // TestPhaserMidRoundJoinerDeregistersBeforeWaiting: a mid-round
 // registration pre-claims an arrival; deregistering before ever
 // waiting must withdraw the claim without resolving the round.
