@@ -133,30 +133,29 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 //	?format=gantt    text Gantt lanes plus the straggler report
 //	?format=chrome   Chrome trace-event JSON for Perfetto
 func (t *Tracer) EpisodesHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return serve("json", func() formats {
 		eps := t.Episodes()
-		switch r.URL.Query().Get("format") {
-		case "gantt":
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintf(w, "%s: %d captured episodes (%d triggers total)\n\n",
-				t.Name(), len(eps), t.Triggered())
-			for _, ep := range eps {
-				fmt.Fprintf(w, "round %d: skew %d ns, max wait %d ns\n%s\n",
-					ep.Round, ep.SkewNs, ep.MaxWaitNs, ep.Gantt(72))
-			}
-			io.WriteString(w, Stragglers(eps).Format(0))
-		case "chrome":
-			w.Header().Set("Content-Type", "application/json")
-			_ = t.WriteChromeTrace(w)
-		default:
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(struct {
-				Barrier   string    `json:"barrier"`
-				Triggered uint64    `json:"triggered"`
-				Episodes  []Episode `json:"episodes"`
-			}{t.Name(), t.Triggered(), eps})
+		return formats{
+			"json": func(w io.Writer) error {
+				return writeJSON(w, struct {
+					Barrier   string    `json:"barrier"`
+					Triggered uint64    `json:"triggered"`
+					Episodes  []Episode `json:"episodes"`
+				}{t.Name(), t.Triggered(), eps})
+			},
+			"gantt": func(w io.Writer) error {
+				fmt.Fprintf(w, "%s: %d captured episodes (%d triggers total)\n\n",
+					t.Name(), len(eps), t.Triggered())
+				for _, ep := range eps {
+					fmt.Fprintf(w, "round %d: skew %d ns, max wait %d ns\n%s\n",
+						ep.Round, ep.SkewNs, ep.MaxWaitNs, ep.Gantt(72))
+				}
+				_, err := io.WriteString(w, Stragglers(eps).Format(0))
+				return err
+			},
+			"chrome": func(w io.Writer) error {
+				return WriteChromeTrace(w, ChromeGroup{Name: t.Name(), Episodes: eps})
+			},
 		}
 	})
 }

@@ -611,48 +611,45 @@ func (s DriftSnapshot) Format() string {
 //	armbarrier_drift_windows_total                   counter
 //	armbarrier_drift_alerts_total                    counter
 func WriteDriftPrometheus(w io.Writer, s DriftSnapshot) error {
-	bl := `barrier="` + escapeLabel(s.Barrier) + `",machine="` + escapeLabel(s.Machine) + `"`
-	var b strings.Builder
-	lvlGauge := func(name, help string, val func(DriftLevel) float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+	p := newPromWriter()
+	driftFamilies(p, s)
+	return p.flush(w)
+}
+
+// driftFamilies writes the scoreboard's families (WriteDriftPrometheus
+// lists them), each series labelled with the board's barrier and
+// machine.
+func driftFamilies(p promWriter, s DriftSnapshot) {
+	p = p.with("barrier", s.Barrier, "machine", s.Machine)
+	level := func(name, help string, val func(DriftLevel) float64) {
+		p.family(name, "gauge", help)
 		for _, l := range s.Levels {
-			fmt.Fprintf(&b, "%s{%s,phase=\"%s\",level=\"%d\"} %s\n",
-				name, bl, l.Phase, l.Level, formatFloat(val(l)))
+			p.with("phase", l.Phase, "level", l.Level).sample(name, val(l))
 		}
 	}
-	lvlGauge("armbarrier_drift_level_measured_ns", "Measured mean step cost of the (phase, level) cell, last window.",
+	level("armbarrier_drift_level_measured_ns", "Measured mean step cost of the (phase, level) cell, last window.",
 		func(l DriftLevel) float64 { return l.MeasuredNs })
-	lvlGauge("armbarrier_drift_level_predicted_ns", "Model-predicted step cost of the (phase, level) cell.",
+	level("armbarrier_drift_level_predicted_ns", "Model-predicted step cost of the (phase, level) cell.",
 		func(l DriftLevel) float64 { return l.PredictedNs })
-	lvlGauge("armbarrier_drift_level_ratio", "Measured over predicted step cost (NaN when sampleless).",
+	level("armbarrier_drift_level_ratio", "Measured over predicted step cost (NaN when sampleless).",
 		func(l DriftLevel) float64 { return l.Ratio })
-	phGauge := func(name, help string, val func(DriftPhase) float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		for _, p := range s.Phases {
-			fmt.Fprintf(&b, "%s{%s,phase=\"%s\"} %s\n", name, bl, p.Phase, formatFloat(val(p)))
+	phase := func(name, help string, val func(DriftPhase) any) {
+		p.family(name, "gauge", help)
+		for _, ph := range s.Phases {
+			p.with("phase", ph.Phase).sample(name, val(ph))
 		}
 	}
-	phGauge("armbarrier_drift_phase_ratio", "Measured over predicted per-phase cost, last window.",
-		func(p DriftPhase) float64 { return p.Ratio })
-	phGauge("armbarrier_drift_phase_ewma_log2", "EWMA-smoothed log2 of the per-phase ratio.",
-		func(p DriftPhase) float64 { return p.EwmaLog2 })
-	phGauge("armbarrier_drift_diverged", "1 while the phase's smoothed ratio is over the divergence threshold.",
-		func(p DriftPhase) float64 {
-			if p.Diverged {
-				return 1
-			}
-			return 0
-		})
-	scalar := func(name, typ, help string, v string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s{%s} %s\n", name, help, name, typ, name, bl, v)
-	}
-	scalar("armbarrier_drift_fitted_alpha", "gauge", "RFO weight fitted from the measured arrival ladder.", formatFloat(s.FittedAlpha))
-	scalar("armbarrier_drift_fitted_latency_ns", "gauge", "Latency recovered by the arrival-ladder fit.", formatFloat(s.FittedLNs))
-	scalar("armbarrier_drift_model_alpha", "gauge", "The machine model's calibrated RFO weight.", formatFloat(s.ModelAlpha))
-	scalar("armbarrier_drift_windows_total", "counter", "Drift observation windows closed.", fmt.Sprint(s.Windows))
-	scalar("armbarrier_drift_alerts_total", "counter", "Model-drift divergence alerts raised.", fmt.Sprint(s.AlertsTotal))
-	_, err := io.WriteString(w, b.String())
-	return err
+	phase("armbarrier_drift_phase_ratio", "Measured over predicted per-phase cost, last window.",
+		func(ph DriftPhase) any { return ph.Ratio })
+	phase("armbarrier_drift_phase_ewma_log2", "EWMA-smoothed log2 of the per-phase ratio.",
+		func(ph DriftPhase) any { return ph.EwmaLog2 })
+	phase("armbarrier_drift_diverged", "1 while the phase's smoothed ratio is over the divergence threshold.",
+		func(ph DriftPhase) any { return ph.Diverged })
+	p.scalar("armbarrier_drift_fitted_alpha", "gauge", "RFO weight fitted from the measured arrival ladder.", s.FittedAlpha)
+	p.scalar("armbarrier_drift_fitted_latency_ns", "gauge", "Latency recovered by the arrival-ladder fit.", s.FittedLNs)
+	p.scalar("armbarrier_drift_model_alpha", "gauge", "The machine model's calibrated RFO weight.", s.ModelAlpha)
+	p.scalar("armbarrier_drift_windows_total", "counter", "Drift observation windows closed.", s.Windows)
+	p.scalar("armbarrier_drift_alerts_total", "counter", "Model-drift divergence alerts raised.", s.AlertsTotal)
 }
 
 // PhasesHandler serves the phase telemetry (and, when board is
@@ -662,36 +659,37 @@ func WriteDriftPrometheus(w io.Writer, s DriftSnapshot) error {
 //	?format=prom   Prometheus text: armbarrier_phase_* + armbarrier_drift_*
 //	?format=text   the aligned drift table (or phase table without a board)
 func PhasesHandler(in *Instrumented, board *DriftBoard) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return serve("json", func() formats {
 		snap := in.Snapshot()
 		var drift *DriftSnapshot
 		if board != nil {
 			s := board.Scoreboard()
 			drift = &s
 		}
-		switch r.URL.Query().Get("format") {
-		case "prom":
-			w.Header().Set("Content-Type", promContentType)
-			_ = WritePrometheus(w, snap)
-			if drift != nil {
-				_ = WriteDriftPrometheus(w, *drift)
-			}
-		case "text":
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			if drift != nil {
-				io.WriteString(w, drift.Format())
-			} else if snap.Phases != nil {
-				io.WriteString(w, FormatPhases(snap.Phases))
-			}
-		default:
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(struct {
-				Barrier string         `json:"barrier"`
-				Phases  *PhaseSnapshot `json:"phases"`
-				Drift   *DriftSnapshot `json:"drift,omitempty"`
-			}{snap.Barrier, snap.Phases, drift})
+		return formats{
+			"json": func(w io.Writer) error {
+				return writeJSON(w, struct {
+					Barrier string         `json:"barrier"`
+					Phases  *PhaseSnapshot `json:"phases"`
+					Drift   *DriftSnapshot `json:"drift,omitempty"`
+				}{snap.Barrier, snap.Phases, drift})
+			},
+			"text": func(w io.Writer) error {
+				text := FormatPhases(snap.Phases)
+				if drift != nil {
+					text = drift.Format()
+				}
+				_, err := io.WriteString(w, text)
+				return err
+			},
+			"prom": func(w io.Writer) error {
+				p := newPromWriter()
+				phaseFamilies(p.with("barrier", snap.Barrier), snap.Phases)
+				if drift != nil {
+					driftFamilies(p, *drift)
+				}
+				return p.flush(w)
+			},
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -88,41 +87,26 @@ func (s *Stream) Timeline() StreamSnapshot {
 //	armbarrier_stream_timeouts_total / _panics_total / _watchdog_stalls_total  counter
 //	armbarrier_stream_alerts_total{kind}         counter
 func WriteStreamPrometheus(w io.Writer, s StreamSnapshot) error {
-	bl := `barrier="` + escapeLabel(s.Barrier) + `"`
-	var b strings.Builder
-
-	fmt.Fprintf(&b, "# HELP armbarrier_stream_window_seconds Configured rotation interval.\n")
-	fmt.Fprintf(&b, "# TYPE armbarrier_stream_window_seconds gauge\n")
-	fmt.Fprintf(&b, "armbarrier_stream_window_seconds{%s} %s\n", bl, formatFloat(float64(s.WindowNs)/1e9))
-
-	fmt.Fprintf(&b, "# HELP armbarrier_stream_rotations_total Windows rolled since the stream attached.\n")
-	fmt.Fprintf(&b, "# TYPE armbarrier_stream_rotations_total counter\n")
-	fmt.Fprintf(&b, "armbarrier_stream_rotations_total{%s} %d\n", bl, s.Rotations)
-
-	fmt.Fprintf(&b, "# HELP armbarrier_stream_regime Current confirmed scheduling regime (one-hot).\n")
-	fmt.Fprintf(&b, "# TYPE armbarrier_stream_regime gauge\n")
+	p := newPromWriter().with("barrier", s.Barrier)
+	p.scalar("armbarrier_stream_window_seconds", "gauge", "Configured rotation interval.", float64(s.WindowNs)/1e9)
+	p.scalar("armbarrier_stream_rotations_total", "counter", "Windows rolled since the stream attached.", s.Rotations)
+	p.family("armbarrier_stream_regime", "gauge", "Current confirmed scheduling regime (one-hot).")
 	for _, r := range []tune.Regime{tune.RegimeUnknown, tune.RegimeDedicated, tune.RegimeOversubscribed} {
-		v := 0
-		if r == s.Regime {
-			v = 1
-		}
-		fmt.Fprintf(&b, "armbarrier_stream_regime{%s,regime=\"%s\"} %d\n", bl, r, v)
+		p.with("regime", r).sample("armbarrier_stream_regime", r == s.Regime)
 	}
 
 	// Current-window gauges. Before the first rotation every gauge is
 	// NaN: there is no window to describe.
 	var last WindowStats
-	haveWindow := len(s.Windows) > 0
-	if haveWindow {
+	if len(s.Windows) > 0 {
 		last = s.Windows[len(s.Windows)-1]
 	}
-	rl := fmt.Sprintf("%s,regime=\"%s\"", bl, s.Regime)
+	rp := p.with("regime", s.Regime)
 	gauge := func(name, help string, v float64, sampled bool) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		if !haveWindow || !sampled {
+		if len(s.Windows) == 0 || !sampled {
 			v = math.NaN()
 		}
-		fmt.Fprintf(&b, "%s{%s} %s\n", name, rl, formatFloat(v))
+		rp.scalar(name, "gauge", help, v)
 	}
 	gauge("armbarrier_stream_episode_rate", "Completed episodes per second, current window.", last.EpisodeRate, true)
 	gauge("armbarrier_stream_wait_p50_ns", "p50 wait latency, current window.", last.WaitP50Ns, last.WaitSamples > 0)
@@ -135,26 +119,15 @@ func WriteStreamPrometheus(w io.Writer, s StreamSnapshot) error {
 	gauge("armbarrier_stream_park_rate", "Goroutine parks per second, current window.", last.ParkRate, true)
 	gauge("armbarrier_stream_wake_rate", "Wake tokens per second, current window.", last.WakeRate, true)
 
-	fmt.Fprintf(&b, "# HELP armbarrier_stream_straggler Participant under an active straggler alert, -1 none.\n")
-	fmt.Fprintf(&b, "# TYPE armbarrier_stream_straggler gauge\n")
-	fmt.Fprintf(&b, "armbarrier_stream_straggler{%s} %d\n", bl, s.Straggler)
-
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		fmt.Fprintf(&b, "%s{%s} %d\n", name, bl, v)
-	}
-	counter("armbarrier_stream_timeouts_total", "Barrier wait timeouts reported to the stream.", s.Timeouts)
-	counter("armbarrier_stream_panics_total", "Participant panics reported to the stream.", s.Panics)
-	counter("armbarrier_stream_watchdog_stalls_total", "Watchdog stalls folded into windows.", s.WatchdogStalls)
-
-	fmt.Fprintf(&b, "# HELP armbarrier_stream_alerts_total Alerts raised by the streaming detectors.\n")
-	fmt.Fprintf(&b, "# TYPE armbarrier_stream_alerts_total counter\n")
+	p.scalar("armbarrier_stream_straggler", "gauge", "Participant under an active straggler alert, -1 none.", s.Straggler)
+	p.scalar("armbarrier_stream_timeouts_total", "counter", "Barrier wait timeouts reported to the stream.", s.Timeouts)
+	p.scalar("armbarrier_stream_panics_total", "counter", "Participant panics reported to the stream.", s.Panics)
+	p.scalar("armbarrier_stream_watchdog_stalls_total", "counter", "Watchdog stalls folded into windows.", s.WatchdogStalls)
+	p.family("armbarrier_stream_alerts_total", "counter", "Alerts raised by the streaming detectors.")
 	for _, kind := range []AlertKind{AlertRegimeShift, AlertChangePoint, AlertStraggler, AlertStragglerCleared, AlertWatchdogStall} {
-		fmt.Fprintf(&b, "armbarrier_stream_alerts_total{%s,kind=\"%s\"} %d\n", bl, kind, s.Counts[kind.String()])
+		p.with("kind", kind).sample("armbarrier_stream_alerts_total", s.Counts[kind.String()])
 	}
-
-	_, err := io.WriteString(w, b.String())
-	return err
+	return p.flush(w)
 }
 
 // timelineMetrics are the sparkline rows RenderTimeline draws, in
@@ -231,20 +204,15 @@ func stragglerLabel(id int) string {
 // ?format=prom — mount it at /debug/timeline next to /metrics and
 // /debug/episodes.
 func (s *Stream) TimelineHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return serve("json", func() formats {
 		snap := s.Timeline()
-		switch r.URL.Query().Get("format") {
-		case "text":
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_, _ = io.WriteString(w, RenderTimeline(snap, 0))
-		case "prom":
-			w.Header().Set("Content-Type", promContentType)
-			_ = WriteStreamPrometheus(w, snap)
-		default:
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(snap)
+		return formats{
+			"json": func(w io.Writer) error { return writeJSON(w, snap) },
+			"text": func(w io.Writer) error {
+				_, err := io.WriteString(w, RenderTimeline(snap, 0))
+				return err
+			},
+			"prom": func(w io.Writer) error { return WriteStreamPrometheus(w, snap) },
 		}
 	})
 }

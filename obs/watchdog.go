@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"strings"
+	"slices"
 
 	"armbarrier/barrier"
 )
@@ -27,71 +25,36 @@ import (
 // Every series carries a barrier="<name>" label, matching
 // WritePrometheus.
 func WriteWatchdogPrometheus(w io.Writer, s barrier.WatchdogSnapshot) error {
-	bl := `barrier="` + escapeLabel(s.Barrier) + `"`
-	var b strings.Builder
-
-	fmt.Fprintf(&b, "# HELP armbarrier_watchdog_deadline_ns Configured stall deadline.\n")
-	fmt.Fprintf(&b, "# TYPE armbarrier_watchdog_deadline_ns gauge\n")
-	fmt.Fprintf(&b, "armbarrier_watchdog_deadline_ns{%s} %d\n", bl, s.DeadlineNs)
-
-	fmt.Fprintf(&b, "# HELP armbarrier_watchdog_stalls_total Distinct stuck episodes detected.\n")
-	fmt.Fprintf(&b, "# TYPE armbarrier_watchdog_stalls_total counter\n")
-	fmt.Fprintf(&b, "armbarrier_watchdog_stalls_total{%s} %d\n", bl, s.Stalls)
-
-	stalled := 0
-	if s.Stalled {
-		stalled = 1
-	}
-	fmt.Fprintf(&b, "# HELP armbarrier_watchdog_stalled Whether the last check saw a stuck episode.\n")
-	fmt.Fprintf(&b, "# TYPE armbarrier_watchdog_stalled gauge\n")
-	fmt.Fprintf(&b, "armbarrier_watchdog_stalled{%s} %d\n", bl, stalled)
-
-	fmt.Fprintf(&b, "# HELP armbarrier_watchdog_rounds_total Episodes completed per participant, as counted by the watchdog.\n")
-	fmt.Fprintf(&b, "# TYPE armbarrier_watchdog_rounds_total counter\n")
+	p := newPromWriter().with("barrier", s.Barrier)
+	p.scalar("armbarrier_watchdog_deadline_ns", "gauge", "Configured stall deadline.", s.DeadlineNs)
+	p.scalar("armbarrier_watchdog_stalls_total", "counter", "Distinct stuck episodes detected.", s.Stalls)
+	p.scalar("armbarrier_watchdog_stalled", "gauge", "Whether the last check saw a stuck episode.", s.Stalled)
+	p.family("armbarrier_watchdog_rounds_total", "counter", "Episodes completed per participant, as counted by the watchdog.")
 	for id, r := range s.Rounds {
-		fmt.Fprintf(&b, "armbarrier_watchdog_rounds_total{%s,participant=\"%d\"} %d\n", bl, id, r)
+		p.with("participant", id).sample("armbarrier_watchdog_rounds_total", r)
 	}
-
-	fmt.Fprintf(&b, "# HELP armbarrier_watchdog_wait_age_ns Age of the participant's in-progress wait, 0 when not waiting.\n")
-	fmt.Fprintf(&b, "# TYPE armbarrier_watchdog_wait_age_ns gauge\n")
+	p.family("armbarrier_watchdog_wait_age_ns", "gauge", "Age of the participant's in-progress wait, 0 when not waiting.")
 	for id, ns := range s.WaitingNs {
-		fmt.Fprintf(&b, "armbarrier_watchdog_wait_age_ns{%s,participant=\"%d\"} %d\n", bl, id, ns)
+		p.with("participant", id).sample("armbarrier_watchdog_wait_age_ns", ns)
 	}
-
 	if s.LastStall != nil {
-		missing := make(map[int]bool, len(s.LastStall.Missing))
-		for _, id := range s.LastStall.Missing {
-			missing[id] = true
-		}
-		fmt.Fprintf(&b, "# HELP armbarrier_watchdog_missing Participants absent from the most recent stuck episode.\n")
-		fmt.Fprintf(&b, "# TYPE armbarrier_watchdog_missing gauge\n")
+		p.family("armbarrier_watchdog_missing", "gauge", "Participants absent from the most recent stuck episode.")
 		for id := 0; id < s.Participants; id++ {
-			v := 0
-			if missing[id] {
-				v = 1
-			}
-			fmt.Fprintf(&b, "armbarrier_watchdog_missing{%s,participant=\"%d\"} %d\n", bl, id, v)
+			p.with("participant", id).sample("armbarrier_watchdog_missing", slices.Contains(s.LastStall.Missing, id))
 		}
 	}
-
-	_, err := io.WriteString(w, b.String())
-	return err
+	return p.flush(w)
 }
 
 // WatchdogHandler returns an http.Handler serving a live watchdog
 // snapshot: Prometheus text exposition by default, JSON with
 // ?format=json — the same contract as Instrumented.MetricsHandler.
 func WatchdogHandler(d *barrier.Watchdog) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return serve("prom", func() formats {
 		snap := d.Snapshot()
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(snap)
-			return
+		return formats{
+			"prom": func(w io.Writer) error { return WriteWatchdogPrometheus(w, snap) },
+			"json": func(w io.Writer) error { return writeJSON(w, snap) },
 		}
-		w.Header().Set("Content-Type", promContentType)
-		_ = WriteWatchdogPrometheus(w, snap)
 	})
 }

@@ -99,18 +99,12 @@ func TestWatchdogHandler(t *testing.T) {
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/watchdog", nil))
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("Content-Type = %q", ct)
-	}
 	if !strings.Contains(rec.Body.String(), "armbarrier_watchdog_rounds_total") {
 		t.Errorf("prometheus body missing rounds: %s", rec.Body.String())
 	}
 
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/watchdog?format=json", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q", ct)
-	}
 	for _, key := range []string{`"barrier"`, `"rounds"`, `"waiting_ns"`} {
 		if !strings.Contains(rec.Body.String(), key) {
 			t.Errorf("json body missing %s: %s", key, rec.Body.String())
