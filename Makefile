@@ -41,12 +41,14 @@ check: build vet fmt race suites
 # team and fabric groups, the one stall detector (liveness counts,
 # dedup and poller) behind every watchdog, the golden Prometheus
 # exposition of every obs writer, every (handler, format) pair of the
-# obs endpoints, and the simulator kernel's goroutine-leak check.
+# obs endpoints, the simulator kernel's goroutine-leak check, and the
+# regime-default wait policy (per constructor, explicit override,
+# yield-first counts, bounded waits) with barrierbench's report of it.
 suites:
 	@set -f; for s in \
-		barrier:TestPhase[^r],TestHier,TestPhaser \
+		barrier:TestPhase[^r],TestHier,TestPhaser,TestRegimeDefault \
 		obs:TestStream,TestTimeline,TestRenderTimeline,TestPhase,TestDrift,TestBucketOf,TestInstrumentPhases,TestElastic,TestExpositionGolden,TestHandlerFormats \
-		cmd/barrierbench:TestStream \
+		cmd/barrierbench:TestStream,TestWaitPolicyResolved \
 		model:TestHier \
 		hostlat:TestCachedMemoizes \
 		tune:TestSearchHierGroupSizes,TestMeasureHierGroupSizes \
@@ -76,7 +78,7 @@ smoke:
 	@{ $(GO) run ./cmd/barriersim || echo "barriersim exited $$?"; } | \
 		diff -u results/experiments.txt - && \
 		echo "== barriersim output matches results/experiments.txt =="
-	@for w in spin spinyield spinpark adaptive; do \
+	@for w in default spin spinyield spinpark adaptive; do \
 		echo "== wait=$$w =="; \
 		$(GO) run ./cmd/barrierbench -algos optimized -threads 4 \
 			-episodes 200 -repeats 2 -wait $$w || exit 1; \

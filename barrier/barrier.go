@@ -23,12 +23,12 @@
 //
 // These are spin barriers, as in the paper: they trade CPU for latency
 // and are intended for one goroutine per core (set GOMAXPROCS
-// accordingly). By default waiters yield to the Go scheduler
-// periodically, so correctness does not depend on having a dedicated
-// core, but performance does. When participants outnumber processors,
-// pass WithWaitPolicy(SpinParkWait()) — or AdaptiveWait() to let each
-// participant decide — so waiters park instead of burning the quantum
-// of the goroutine they are waiting for (see waitpolicy.go).
+// accordingly). The wait policy follows the regime by default: while
+// P <= GOMAXPROCS waiters spin and yield to the Go scheduler
+// periodically; once participants outnumber processors they yield
+// first and then park, instead of burning the quantum of the goroutine
+// they are waiting for. WithWaitPolicy overrides the choice — e.g.
+// AdaptiveWait() lets each participant decide (see waitpolicy.go).
 package barrier
 
 import (

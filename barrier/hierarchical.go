@@ -29,7 +29,6 @@ package barrier
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"armbarrier/hostlat"
@@ -100,17 +99,7 @@ type Hierarchical struct {
 	bcast      [2]paddedWord
 	local      []paddedUint32
 	wakeLevels int
-	// eagerPark is the regime-aware wait fast path: set at construction
-	// when the barrier is oversubscribed (p > GOMAXPROCS) under the
-	// parking policy. An oversubscribed waiter's flag is essentially
-	// never ready within a spin window — the releaser cannot run until
-	// the waiter yields the processor — so the parkWait preamble
-	// (exponential spin backoff plus two scheduler yields) is pure
-	// critical-path waste, paid by every waiter every episode. Eager
-	// waiters check the flag once and go straight to the futex-style
-	// park handshake.
-	eagerPark bool
-	name      string
+	name       string
 	waitState
 }
 
@@ -148,7 +137,7 @@ func AutoGroupSize(p int) int {
 	if p <= 2 {
 		return p
 	}
-	if p > runtime.GOMAXPROCS(0) {
+	if oversubscribed(p) {
 		return p
 	}
 	lat := hostlat.Cached()
@@ -236,35 +225,7 @@ func NewHierarchical(p int, cfg HierarchicalConfig, opts ...Option) *Hierarchica
 		h.wakeLevels = 2
 	}
 	h.initWait(p, opts)
-	h.eagerPark = h.policy.kind == waitSpinPark && p > runtime.GOMAXPROCS(0)
 	return h
-}
-
-// hotWait is the wait used at the barrier's blocking sites: the plain
-// policy wait, except that oversubscribed parking waiters (see
-// eagerPark) skip the spin-backoff preamble and yield straight away,
-// keeping parkWait's yield budget and park fallback. Under a FIFO
-// round-robin scheduler the yield requeues the waiter behind every
-// not-yet-arrived participant, so the first recheck usually finds the
-// flag set and the waiter never pays the park/unpark channel round
-// trip at all. Deadline-armed waits keep the bounded path.
-func (h *Hierarchical) hotWait(id int, f *atomic.Uint32, want uint32) {
-	if h.eagerPark && h.deadlines[id].at == 0 {
-		var yields uint64
-		for f.Load() != want {
-			if yields == parkAfterYields {
-				h.park(id, f, want)
-				break
-			}
-			yields++
-			runtime.Gosched()
-		}
-		if c := h.slot(id); c != nil {
-			c.yields.Add(yields)
-		}
-		return
-	}
-	h.wait(id, f, want)
 }
 
 // Name implements Barrier.
@@ -309,7 +270,7 @@ func (h *Hierarchical) Wait(id int) {
 		if g.arrive.Add(1) != g.size {
 			// Group loser: wait for the wake-down through the group line.
 			h.phasePoint(id, PhaseArrival, 0)
-			h.hotWait(id, &g.sense, sense)
+			h.wait(id, &g.sense, sense)
 			h.phasePoint(id, PhaseWakeup, h.wakeLevels-1)
 			return
 		}
@@ -358,7 +319,7 @@ func (h *Hierarchical) Wait(id int) {
 // absorbs by re-checking its flag.
 func (h *Hierarchical) repWait(id, c int, sense uint32) {
 	h.reps[c].id.Store(int32(id) + 1)
-	h.hotWait(id, &h.rsense.v, sense)
+	h.wait(id, &h.rsense.v, sense)
 }
 
 // repSignal is the champion's representative release: store the global
@@ -414,7 +375,7 @@ func (h *Hierarchical) AllReduce(id int, v uint64, op CombineFunc) uint64 {
 	if g.size > 1 {
 		h.contrib[id].v = w
 		if g.arrive.Add(1) != g.size {
-			h.hotWait(id, &g.sense, sense)
+			h.wait(id, &g.sense, sense)
 			return g.result
 		}
 		g.arrive.Store(0)

@@ -7,21 +7,21 @@ import (
 )
 
 // spinBarriers enumerates every SpinCounter implementation for a given
-// participant count.
-func spinBarriers(p int) []Barrier {
+// participant count and constructor options.
+func spinBarriers(p int, opts ...Option) []Barrier {
 	return []Barrier{
-		NewCentral(p),
-		NewDissemination(p),
-		NewCombining(p, 2),
-		NewMCS(p),
-		NewTournament(p),
-		NewStaticFWay(p),
-		NewDynamicFWay(p),
-		NewHyper(p),
-		New(p),
-		NewRing(p),
-		NewHybrid(p, HybridConfig{}),
-		NewNWayDissemination(p, 2),
+		NewCentral(p, opts...),
+		NewDissemination(p, opts...),
+		NewCombining(p, 2, opts...),
+		NewMCS(p, opts...),
+		NewTournament(p, opts...),
+		NewStaticFWay(p, opts...),
+		NewDynamicFWay(p, opts...),
+		NewHyper(p, opts...),
+		New(p, opts...),
+		NewRing(p, opts...),
+		NewHybrid(p, HybridConfig{}, opts...),
+		NewNWayDissemination(p, 2, opts...),
 	}
 }
 
@@ -46,7 +46,9 @@ func TestSpinCountsDisabledByDefault(t *testing.T) {
 
 func TestSpinCountsEnabled(t *testing.T) {
 	const p, rounds = 4, 50
-	for _, b := range spinBarriers(p) {
+	// Spin-yield pinned: P=4 is oversubscribed on a host with fewer
+	// processors, where the default waits yield first and never spin.
+	for _, b := range spinBarriers(p, WithWaitPolicy(SpinYieldWait())) {
 		sc := b.(SpinCounter)
 		sc.EnableSpinCounts()
 		Run(b, func(id int) {

@@ -11,24 +11,26 @@ package barrier
 //     never yields. Lowest latency when every participant owns a core
 //     and nothing else wants it.
 //   - SpinYieldWait  — spin with exponential backoff, then yield to
-//     the Go scheduler between polls. The default: near-spin latency
-//     dedicated, guaranteed progress oversubscribed.
+//     the Go scheduler between polls: near-spin latency dedicated,
+//     guaranteed progress oversubscribed.
 //   - SpinParkWait   — bounded spin, brief yielding, then park the
 //     goroutine on a per-participant cacheline-padded semaphore so the
 //     scheduler can run stragglers. The releasing side wakes only
 //     actually-parked waiters via a parked-bit CAS, so the
 //     dedicated-core fast path pays one extra load per signal and no
-//     extra read-modify-write.
+//     extra read-modify-write. Oversubscribed, the waiter skips the
+//     spin and yields first (see yieldPark).
 //   - AdaptiveWait   — starts as SpinYieldWait and switches each
 //     participant to the parking discipline when its observed
 //     yields-per-wait (the same yield counts spinStats records) cross
 //     a threshold, switching back when waits become yield-free.
 //
-// Select a policy with the WithWaitPolicy constructor option:
+// Without a WithWaitPolicy option a constructor picks by regime, once,
+// from its participant count: SpinYieldWait while P <= GOMAXPROCS,
+// SpinParkWait once participants outnumber the processors. Pass an
+// explicit policy to override the rule:
 //
-//	b := barrier.New(p, barrier.WithWaitPolicy(barrier.SpinParkWait()))
-//
-// The zero configuration keeps today's spin-yield behaviour.
+//	b := barrier.New(p, barrier.WithWaitPolicy(barrier.SpinYieldWait()))
 
 import (
 	"fmt"
@@ -39,19 +41,23 @@ import (
 	"armbarrier/internal/pad"
 )
 
-// waitKind enumerates the wait disciplines. The zero value is the
-// spin-yield default so a zero WaitPolicy means "unchanged behaviour".
+// waitKind enumerates the wait disciplines. The zero value is no
+// discipline but "the regime default", which initWait resolves, so a
+// zero WaitPolicy differs from an explicit SpinYieldWait.
 type waitKind uint8
 
 const (
-	waitSpinYield waitKind = iota
+	waitDefault waitKind = iota
+	waitSpinYield
 	waitSpin
 	waitSpinPark
 	waitAdaptive
 )
 
 // WaitPolicy selects how participants wait inside a barrier. The zero
-// value is SpinYieldWait. Values are comparable.
+// value asks for the regime default (see the package notes above);
+// a constructed barrier's WaitPolicy method reports what it resolved
+// to. Values are comparable.
 type WaitPolicy struct {
 	kind waitKind
 }
@@ -60,13 +66,14 @@ type WaitPolicy struct {
 // never a scheduler yield. Use only when each participant owns a core.
 func SpinWait() WaitPolicy { return WaitPolicy{kind: waitSpin} }
 
-// SpinYieldWait returns the default policy: exponential poll backoff
-// up to spinYieldEvery, then a scheduler yield between polls.
+// SpinYieldWait returns the spin-yield policy, the default while P <=
+// GOMAXPROCS: exponential poll backoff up to spinYieldEvery, then a
+// scheduler yield between polls.
 func SpinYieldWait() WaitPolicy { return WaitPolicy{kind: waitSpinYield} }
 
 // SpinParkWait returns the parking policy: bounded spin, a few yields,
 // then park on a per-participant semaphore until a releaser wakes the
-// waiter. The right choice when P > GOMAXPROCS.
+// waiter. The default when P > GOMAXPROCS.
 func SpinParkWait() WaitPolicy { return WaitPolicy{kind: waitSpinPark} }
 
 // AdaptiveWait returns the self-tuning policy: each participant starts
@@ -75,9 +82,12 @@ func SpinParkWait() WaitPolicy { return WaitPolicy{kind: waitSpinPark} }
 // when they become yield-free again).
 func AdaptiveWait() WaitPolicy { return WaitPolicy{kind: waitAdaptive} }
 
-// String implements fmt.Stringer with the names the -wait flags use.
+// String implements fmt.Stringer with the names the -wait flags use;
+// the zero value prints as "default".
 func (p WaitPolicy) String() string {
 	switch p.kind {
+	case waitDefault:
+		return "default"
 	case waitSpin:
 		return "spin"
 	case waitSpinYield:
@@ -90,12 +100,15 @@ func (p WaitPolicy) String() string {
 	return "wait?"
 }
 
-// ParseWaitPolicy parses a policy name as printed by String.
+// ParseWaitPolicy parses a policy name as printed by String. The empty
+// string, like "default", yields the zero value: the regime default.
 func ParseWaitPolicy(s string) (WaitPolicy, error) {
 	switch s {
+	case "", "default":
+		return WaitPolicy{}, nil
 	case "spin":
 		return SpinWait(), nil
-	case "spinyield", "":
+	case "spinyield":
 		return SpinYieldWait(), nil
 	case "spinpark":
 		return SpinParkWait(), nil
@@ -113,11 +126,12 @@ func (p WaitPolicy) mayPark() bool {
 
 // Option configures a barrier constructor. All constructors in this
 // package accept trailing options; omitting them keeps the zero-config
-// behaviour.
+// behaviour, the regime's default wait policy.
 type Option func(*waitState)
 
 // WithWaitPolicy selects the wait discipline for every wait site of
-// the constructed barrier.
+// the constructed barrier; the zero WaitPolicy keeps the regime
+// default.
 func WithWaitPolicy(p WaitPolicy) Option {
 	return func(w *waitState) { w.policy = p }
 }
@@ -173,7 +187,10 @@ type adaptSlot struct {
 // initWait(p, opts).
 type waitState struct {
 	spinStats
-	policy     WaitPolicy
+	policy WaitPolicy
+	// yieldFirst is set once, by initWait, when the barrier is
+	// oversubscribed under SpinParkWait; its waits then take yieldPark.
+	yieldFirst bool
 	parkSlots  []parkSlot  // non-nil iff the policy may park
 	adaptSlots []adaptSlot // non-nil iff the policy is adaptive
 	// deadlines[id].at is non-zero while participant id runs a bounded
@@ -186,13 +203,22 @@ type waitState struct {
 	probes []probeSlot
 }
 
-// initWait applies the constructor options and allocates whatever the
-// chosen policy needs.
+// initWait applies the constructor options, resolves the regime
+// default when they chose no policy, and allocates whatever the
+// resolved policy needs.
 func (w *waitState) initWait(p int, opts []Option) {
 	w.initSpin(p)
 	for _, o := range opts {
 		o(w)
 	}
+	over := oversubscribed(p)
+	if w.policy.kind == waitDefault {
+		w.policy = SpinYieldWait()
+		if over {
+			w.policy = SpinParkWait()
+		}
+	}
+	w.yieldFirst = over && w.policy.kind == waitSpinPark
 	if w.policy.mayPark() {
 		w.parkSlots = make([]parkSlot, p)
 		for i := range w.parkSlots {
@@ -206,7 +232,14 @@ func (w *waitState) initWait(p int, opts []Option) {
 	w.probes = make([]probeSlot, p)
 }
 
-// WaitPolicy returns the policy the barrier was constructed with.
+// oversubscribed reports whether p participants outnumber the
+// processors Go runs goroutines on (GOMAXPROCS): the regime in which a
+// waiter that keeps its processor delays the very participant it waits
+// for, so how it waits costs more than the tree shape.
+func oversubscribed(p int) bool { return p > runtime.GOMAXPROCS(0) }
+
+// WaitPolicy returns the policy the barrier waits with: the one passed
+// to WithWaitPolicy, or the regime default it resolved to.
 func (w *waitState) WaitPolicy() WaitPolicy { return w.policy }
 
 // ParkCounter is implemented by barriers whose wait policy can park.
@@ -245,7 +278,11 @@ func (w *waitState) wait(id int, f *atomic.Uint32, want uint32) {
 	case waitSpin:
 		spinNoYield(f, want, w.slot(id))
 	case waitSpinPark:
-		w.parkWait(id, f, want)
+		if w.yieldFirst {
+			w.yieldPark(id, f, want)
+		} else {
+			w.parkWait(id, f, want)
+		}
 	case waitAdaptive:
 		a := &w.adaptSlots[id]
 		var yields uint64
@@ -308,6 +345,28 @@ func (w *waitState) parkWait(id int, f *atomic.Uint32, want uint32) uint64 {
 		c.yields.Add(yields)
 	}
 	return yields
+}
+
+// yieldPark is SpinParkWait's oversubscribed discipline: no spin
+// window, since the releaser cannot run until a waiter gives up its
+// processor. The waiter yields at once, at most parkAfterYields times,
+// then parks. Under a FIFO round-robin scheduler the yield requeues it
+// behind every not-yet-arrived participant, so the first recheck
+// usually finds the flag set and the park/unpark round trip is never
+// paid. Only yields are counted: a recheck after a yield is not a spin.
+func (w *waitState) yieldPark(id int, f *atomic.Uint32, want uint32) {
+	var yields uint64
+	for f.Load() != want {
+		if yields == parkAfterYields {
+			w.park(id, f, want)
+			break
+		}
+		yields++
+		runtime.Gosched()
+	}
+	if c := w.slot(id); c != nil {
+		c.yields.Add(yields)
+	}
 }
 
 // park blocks participant id until *f == want.

@@ -37,14 +37,14 @@ func optFactories() map[string]func(p int, opts ...Option) Barrier {
 }
 
 func TestWaitPolicyStringParseRoundTrip(t *testing.T) {
-	for _, p := range []WaitPolicy{SpinWait(), SpinYieldWait(), SpinParkWait(), AdaptiveWait()} {
+	for _, p := range []WaitPolicy{{}, SpinWait(), SpinYieldWait(), SpinParkWait(), AdaptiveWait()} {
 		got, err := ParseWaitPolicy(p.String())
 		if err != nil || got != p {
 			t.Errorf("round trip of %q: got %v, %v", p, got, err)
 		}
 	}
-	if p, err := ParseWaitPolicy(""); err != nil || p != SpinYieldWait() {
-		t.Errorf("empty string: got %v, %v; want the spin-yield default", p, err)
+	if p, err := ParseWaitPolicy(""); err != nil || p != (WaitPolicy{}) {
+		t.Errorf("empty string: got %v, %v; want the zero (regime default) policy", p, err)
 	}
 	if _, err := ParseWaitPolicy("nap"); err == nil {
 		t.Error("unknown policy accepted")
@@ -53,11 +53,14 @@ func TestWaitPolicyStringParseRoundTrip(t *testing.T) {
 
 func TestWaitPolicyZeroValueIsDefault(t *testing.T) {
 	var zero WaitPolicy
-	if zero != SpinYieldWait() {
-		t.Fatal("zero WaitPolicy is not SpinYieldWait")
+	for _, p := range []WaitPolicy{SpinWait(), SpinYieldWait(), SpinParkWait(), AdaptiveWait()} {
+		if zero == p {
+			t.Fatalf("zero WaitPolicy equals the explicit %v", p)
+		}
 	}
-	if b := NewCentral(2); b.WaitPolicy() != SpinYieldWait() {
-		t.Fatalf("option-free constructor policy = %v", b.WaitPolicy())
+	procs := runtime.GOMAXPROCS(0)
+	if b := NewCentral(procs); b.WaitPolicy() != SpinYieldWait() {
+		t.Fatalf("option-free constructor policy at P=GOMAXPROCS = %v", b.WaitPolicy())
 	}
 	b := NewCentral(2, WithWaitPolicy(SpinParkWait()))
 	if b.WaitPolicy() != SpinParkWait() {
@@ -75,7 +78,7 @@ func TestParkSlotsCachelinePadded(t *testing.T) {
 }
 
 func TestParkCountsWithoutParkingPolicy(t *testing.T) {
-	b := NewCentral(2)
+	b := NewCentral(2, WithWaitPolicy(SpinYieldWait()))
 	verifyBarrier(t, b, 3)
 	for id := 0; id < 2; id++ {
 		if p, w := b.ParkCounts(id); p != 0 || w != 0 {

@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -92,7 +93,7 @@ func run(args []string, out io.Writer) error {
 		plistFlag   = fs.String("plist", "", "large-P scaling sweep: comma-separated participant counts run in one invocation into a single report (overrides -threads and -oversub; e.g. 64,256,1024,4096)")
 		hierGroup   = fs.Int("hiergroup", 0, "group size for the hier algorithm (0 = probe-based auto-derivation)")
 		algosFlag   = fs.String("algos", "", "comma-separated algorithm names (default all)")
-		waitFlag    = fs.String("wait", "", "wait policy: spin, spinyield (default), spinpark, adaptive")
+		waitFlag    = fs.String("wait", "", "wait policy: spin, spinyield, spinpark, adaptive (default: by regime, spinyield while P <= GOMAXPROCS and spinpark above)")
 		oversub     = fs.Bool("oversub", false, "oversubscription sweep: participants at 1x, 2x and 4x GOMAXPROCS (overrides -threads)")
 		collective  = fs.String("collective", "", "collective mode: 'allreduce' benchmarks fused vs barrier-separated reduction per algorithm")
 		episodes    = fs.Int("episodes", 2000, "timed barrier episodes per measurement")
@@ -124,10 +125,8 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var wopts []barrier.Option
-	if wait != barrier.SpinYieldWait() {
-		wopts = append(wopts, barrier.WithWaitPolicy(wait))
-	}
+	// The zero policy (no -wait) is each constructor's regime default.
+	wopts := []barrier.Option{barrier.WithWaitPolicy(wait)}
 
 	threads, err := parseThreads(*threadsFlag)
 	if err != nil {
@@ -142,6 +141,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
+	waitName := resolvedWait(wopts, threads)
 	if *hierGroup < 0 {
 		return fmt.Errorf("-hiergroup must be >= 0, got %d", *hierGroup)
 	}
@@ -161,7 +161,7 @@ func run(args []string, out io.Writer) error {
 	switch *collective {
 	case "":
 	case "allreduce":
-		return runCollective(out, names, threads, wopts, wait.String(), *episodes, *repeats, *csv, *jsonout)
+		return runCollective(out, names, threads, wopts, waitName, *episodes, *repeats, *csv, *jsonout)
 	default:
 		return fmt.Errorf("unknown -collective mode %q (have allreduce)", *collective)
 	}
@@ -174,7 +174,7 @@ func run(args []string, out io.Writer) error {
 		if *faultDL <= 0 {
 			return fmt.Errorf("-faultdeadline must be positive, got %v", *faultDL)
 		}
-		return runFault(out, names, threads, wopts, wait.String(), *episodes, faults, *faultDL, *csv)
+		return runFault(out, names, threads, wopts, waitName, *episodes, faults, *faultDL, *csv)
 	}
 
 	cols := []string{"algorithm"}
@@ -182,7 +182,7 @@ func run(args []string, out io.Writer) error {
 		cols = append(cols, fmt.Sprintf("%dT", p))
 	}
 	title := fmt.Sprintf("Real goroutine barrier overhead (ns/barrier, GOMAXPROCS=%d, wait=%s)",
-		runtime.GOMAXPROCS(0), wait)
+		runtime.GOMAXPROCS(0), waitName)
 	measure := epcc.MeasureReal
 	if *regions {
 		title = fmt.Sprintf("omp parallel-region overhead (ns/region, GOMAXPROCS=%d)", runtime.GOMAXPROCS(0))
@@ -316,13 +316,27 @@ func run(args []string, out io.Writer) error {
 		if *regions {
 			mode = "parallel-region"
 		}
-		path, err := writeJSON(*jsonout, mode, *episodes, *repeats, wait.String(), results, snaps, drifts)
+		path, err := writeJSON(*jsonout, mode, *episodes, *repeats, waitName, results, snaps, drifts)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "wrote %s\n", path)
 	}
 	return nil
+}
+
+// resolvedWait names the wait policy the sweep's barriers resolve to
+// under wopts at each participant count, joined by "+" when a sweep
+// crosses GOMAXPROCS under the regime default.
+func resolvedWait(wopts []barrier.Option, threads []int) string {
+	var names []string
+	for _, p := range threads {
+		n := barrier.NewCentral(p, wopts...).WaitPolicy().String()
+		if !slices.Contains(names, n) {
+			names = append(names, n)
+		}
+	}
+	return strings.Join(names, "+")
 }
 
 // phasedMeasurement is one algorithm x thread-count's phase-resolved

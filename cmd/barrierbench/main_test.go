@@ -268,6 +268,39 @@ func TestWaitPolicyFlag(t *testing.T) {
 	}
 }
 
+// TestWaitPolicyResolvedPerRegime: the title and wait_policy report the
+// policy the barriers resolved to, so an explicit spin-yield stays
+// spin-yield past GOMAXPROCS and the default names both regimes.
+func TestWaitPolicyResolvedPerRegime(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ wait, want string }{
+		{"spinyield", "spinyield"},
+		{"", "spinyield+spinpark"},
+	} {
+		path := filepath.Join(t.TempDir(), "out.json")
+		var sb strings.Builder
+		err := run([]string{"-wait", tc.wait, "-jsonout", path, "-threads", fmt.Sprintf("%d,%d", procs, procs+1),
+			"-algos", "optimized", "-episodes", "50", "-repeats", "1"}, &sb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), "wait="+tc.want+")") {
+			t.Errorf("-wait %q: title does not name wait=%s:\n%s", tc.wait, tc.want, sb.String())
+		}
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep benchReport
+		if err := json.Unmarshal(buf, &rep); err != nil {
+			t.Fatalf("invalid JSON: %v", err)
+		}
+		if rep.WaitPolicy != tc.want {
+			t.Errorf("-wait %q: wait_policy = %q, want %q", tc.wait, rep.WaitPolicy, tc.want)
+		}
+	}
+}
+
 func TestWaitPolicyUnknown(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-wait", "nap"}, &sb); err == nil {

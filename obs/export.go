@@ -98,18 +98,18 @@ func phaseFamilies(p promWriter, ps *PhaseSnapshot) {
 	for _, l := range ps.Levels {
 		p.with("phase", l.Phase, "level", l.Level).hist("armbarrier_phase_cost_ns", l.Hist, l.SumNs)
 	}
-	gauge := func(name, help string, val func(PhaseLevelSnapshot) float64) {
+	gauge := func(name, help string, val func(PhaseLevelSnapshot) any) {
 		p.family(name, "gauge", help)
 		for _, l := range ps.Levels {
 			p.with("phase", l.Phase, "level", l.Level).sample(name, val(l))
 		}
 	}
 	gauge("armbarrier_phase_cost_p50_ns", "Median per-(phase,level) step cost (NaN when sampleless).",
-		func(l PhaseLevelSnapshot) float64 { return l.QuantileNs(0.5) })
+		func(l PhaseLevelSnapshot) any { return l.QuantileNs(0.5) })
 	gauge("armbarrier_phase_cost_max_ns", "Largest per-(phase,level) step cost observed.",
-		func(l PhaseLevelSnapshot) float64 { return float64(l.MaxNs) })
+		func(l PhaseLevelSnapshot) any { return l.MaxNs })
 	gauge("armbarrier_phase_skew_ns", "Spread of per-participant mean cost at this (phase,level).",
-		func(l PhaseLevelSnapshot) float64 { return l.SkewNs })
+		func(l PhaseLevelSnapshot) any { return l.SkewNs })
 }
 
 // MetricsHandler returns an http.Handler serving a live snapshot:

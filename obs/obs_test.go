@@ -146,7 +146,9 @@ func TestSamplingDefault(t *testing.T) {
 
 func TestInstrumentSpinCounts(t *testing.T) {
 	const p, rounds = 4, 50
-	in := Instrument(barrier.New(p), Options{})
+	// Spin-yield pinned: P=4 is oversubscribed on a host with fewer
+	// processors, where the default waits yield first and never spin.
+	in := Instrument(barrier.New(p, barrier.WithWaitPolicy(barrier.SpinYieldWait())), Options{})
 	runRounds(in, rounds)
 	total := uint64(0)
 	for _, ps := range in.Snapshot().PerParti {
@@ -215,31 +217,37 @@ func TestInstrumentCountsThroughDecorators(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	const p, rounds = 4, 20
-	b := barrier.New(p, barrier.WithWaitPolicy(barrier.SpinParkWait()))
-	in := Instrument(faultinject.Wrap(barrier.NewWatchdog(b, barrier.WatchdogConfig{Deadline: time.Minute})), Options{})
-	barrier.Run(in, func(id int) {
-		for r := 0; r < rounds; r++ {
-			if id == 0 {
-				time.Sleep(200 * time.Microsecond)
+	// counts runs the decorated barrier under pol. Oversubscribed,
+	// spin-park waiters yield before they park and never spin, so the
+	// spins are counted under spin-yield and the parks under spin-park.
+	counts := func(pol barrier.WaitPolicy) (spins, parks uint64) {
+		b := barrier.New(p, barrier.WithWaitPolicy(pol))
+		in := Instrument(faultinject.Wrap(barrier.NewWatchdog(b, barrier.WatchdogConfig{Deadline: time.Minute})), Options{})
+		barrier.Run(in, func(id int) {
+			for r := 0; r < rounds; r++ {
+				if id == 0 {
+					time.Sleep(200 * time.Microsecond)
+				}
+				in.Wait(id)
 			}
-			in.Wait(id)
+		})
+		for _, ps := range in.Snapshot().PerParti {
+			spins += ps.Spins
+			parks += ps.Parks
 		}
-	})
-	var spins, parks uint64
-	for _, ps := range in.Snapshot().PerParti {
-		spins += ps.Spins
-		parks += ps.Parks
+		return spins, parks
 	}
-	if spins == 0 {
+	if spins, _ := counts(barrier.SpinYieldWait()); spins == 0 {
 		t.Error("no spins counted through the decorators")
 	}
-	if parks == 0 {
+	if _, parks := counts(barrier.SpinParkWait()); parks == 0 {
 		t.Error("no parks counted through the decorators")
 	}
 }
 
 func TestInstrumentParkCountsDefaultPolicyZero(t *testing.T) {
-	in := Instrument(barrier.New(2), Options{})
+	// P = GOMAXPROCS: the dedicated regime, whose default never parks.
+	in := Instrument(barrier.New(runtime.GOMAXPROCS(0)), Options{})
 	runRounds(in, 10)
 	for _, ps := range in.Snapshot().PerParti {
 		if ps.Parks != 0 || ps.Wakes != 0 {

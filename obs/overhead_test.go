@@ -146,20 +146,20 @@ func overheadGuard(t *testing.T, p int, bopts []barrier.Option, budget float64, 
 // test run for every observer configuration a production service would
 // leave on: the plain instrumentation wrapper, the flight recorder
 // with its trigger armed but not firing, and the streaming layer
-// rotating live at a 100ms window. On hosts with at least P cores this
+// rotating live at a 100ms window. With GOMAXPROCS >= P this
 // exercises the dedicated regime; see
 // TestStreamOverheadGuardOversubscribed for the other one.
 func TestInstrumentOverheadGuard(t *testing.T) {
 	const p = 8
-	// Oversubscribed, a spin-yield barrier measures the scheduler, not
-	// the wrapper: P spinning goroutines on fewer cores make both the
-	// bare and wrapped timings preemption lotteries. Under SpinParkWait
-	// the waiters get off the cores, so the guard holds in both regimes
-	// — the parking policy is exactly what makes the overhead budget
-	// enforceable on oversubscribed hosts. Parking also makes the bare
-	// episode several times cheaper, so the wrapper's fixed per-round
-	// cost is a larger fraction of it; the budget widens to 15% there
-	// while the absolute overhead stays the same.
+	// Oversubscribed, a spin-yield barrier would measure the scheduler,
+	// not the wrapper: P spinning goroutines on fewer cores make both
+	// the bare and wrapped timings preemption lotteries. The barrier's
+	// regime default parks there instead, so the waiters get off the
+	// cores and the guard holds in both regimes. Parking also makes the
+	// bare episode several times cheaper, so the wrapper's fixed
+	// per-round cost is a larger fraction of it; the budget widens to
+	// 15% there while the absolute overhead stays the same. The guard
+	// reads the policy the barrier resolved to, the same rule it runs.
 	budget := 1.10
 	// Phase probes add a fixed per-sampled-round cost on top of the
 	// wrapper's: one clock read and a handful of owner-only atomics per
@@ -168,24 +168,22 @@ func TestInstrumentOverheadGuard(t *testing.T) {
 	// cheaper — the same fixed cost is a visibly larger fraction, so the
 	// phased budget widens further than the wrapper's there.
 	phasedBudget := 1.10
-	var bopts []barrier.Option
-	if runtime.NumCPU() < p {
-		bopts = append(bopts, barrier.WithWaitPolicy(barrier.SpinParkWait()))
+	if barrier.NewOptimized(p, barrier.OptimizedConfig{}).WaitPolicy() == barrier.SpinParkWait() {
 		budget = 1.15
 		phasedBudget = 1.25
 	}
-	overheadGuard(t, p, bopts, budget, []overheadVariant{
+	overheadGuard(t, p, nil, budget, []overheadVariant{
 		{name: "instrumented", mk: func() (barrier.Barrier, func()) {
-			return Instrument(barrier.New(p, bopts...), Options{}), nil
+			return Instrument(barrier.New(p), Options{}), nil
 		}},
 		// Phase probes at the default sampling rate: the probe sites
 		// stay disarmed on unsampled rounds (one plain load each), so
 		// the per-level telemetry must fit in the envelope above.
 		{name: "phased", budget: phasedBudget, mk: func() (barrier.Barrier, func()) {
-			return Instrument(barrier.New(p, bopts...), Options{Phases: true}), nil
+			return Instrument(barrier.New(p), Options{Phases: true}), nil
 		}},
-		{name: "traced", mk: func() (barrier.Barrier, func()) { return armedTracer(p, bopts...), nil }},
-		{name: "streamed", mk: func() (barrier.Barrier, func()) { return streamedBarrier(p, bopts...) }},
+		{name: "traced", mk: func() (barrier.Barrier, func()) { return armedTracer(p), nil }},
+		{name: "streamed", mk: func() (barrier.Barrier, func()) { return streamedBarrier(p) }},
 	})
 }
 

@@ -23,7 +23,8 @@ type HierCandidate struct {
 	GroupSize int
 	// FanIn is the representative-tree fan-in.
 	FanIn int
-	// Wait is the wait policy a measured candidate ran under.
+	// Wait is the wait policy a measured candidate was constructed
+	// with; zero means the constructor's regime default.
 	Wait barrier.WaitPolicy
 	// CostNs is the modelled or measured overhead per episode.
 	CostNs float64
@@ -37,7 +38,7 @@ func (c HierCandidate) Name() string {
 	if c.FanIn != 0 && c.FanIn != 4 {
 		n += fmt.Sprintf("-f%d", c.FanIn)
 	}
-	if c.Wait != barrier.SpinYieldWait() {
+	if c.Wait != (barrier.WaitPolicy{}) {
 		n += "-" + c.Wait.String()
 	}
 	return n
@@ -80,8 +81,8 @@ type HierMeasureOptions struct {
 	// (default 3).
 	Repeats int
 	// Wait is the wait policy to construct candidates with; the zero
-	// value is the spin-yield default. Use ChooseWaitPolicy for the
-	// regime the barrier will run in.
+	// value is the constructor's regime default (spin-park once P >
+	// GOMAXPROCS, spin-yield otherwise).
 	Wait barrier.WaitPolicy
 	// Candidates overrides the power-of-two group sizes.
 	Candidates []int

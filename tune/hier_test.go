@@ -1,6 +1,8 @@
 package tune
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"armbarrier/barrier"
@@ -29,6 +31,25 @@ func TestSearchHierGroupSizes(t *testing.T) {
 	}
 	if got := (HierCandidate{GroupSize: 8, FanIn: 2, Wait: barrier.SpinParkWait()}).Name(); got != "hier-g8-f2-spinpark" {
 		t.Fatalf("Name = %q", got)
+	}
+	if got := (HierCandidate{GroupSize: 8, FanIn: 4, Wait: barrier.SpinYieldWait()}).Name(); got != "hier-g8-spinyield" {
+		t.Fatalf("Name with explicit spin-yield = %q", got)
+	}
+}
+
+// TestMeasureHierGroupSizesExplicitSpinYield: an oversubscribed measured
+// search asked for spin-yield keeps that policy in its candidates and
+// their names, where the regime default would be spin-park.
+func TestMeasureHierGroupSizesExplicitSpinYield(t *testing.T) {
+	p := runtime.GOMAXPROCS(0) + 1
+	out, err := MeasureHierGroupSizes(p, HierMeasureOptions{
+		Episodes: 20, Repeats: 1, Candidates: []int{p}, Wait: barrier.SpinYieldWait(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := out[0]; c.Wait != barrier.SpinYieldWait() || c.Name() != fmt.Sprintf("hier-g%d-spinyield", p) {
+		t.Fatalf("candidate %+v named %q", c, c.Name())
 	}
 }
 

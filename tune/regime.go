@@ -1,10 +1,6 @@
 package tune
 
-import (
-	"fmt"
-
-	"armbarrier/barrier"
-)
+import "fmt"
 
 // Regime names the scheduling environment a barrier runs in. The paper's
 // core finding is that the winning algorithm and wait policy flip with
@@ -76,15 +72,4 @@ func ClassifyStatic(participants, gomaxprocs int) Regime {
 		return RegimeOversubscribed
 	}
 	return RegimeDedicated
-}
-
-// WaitPolicy returns the wait discipline the regime calls for:
-// spin-yield while dedicated (and as the unknown-regime default),
-// spin-then-park once oversubscribed. This is the decision rule the
-// README documents — choose the wait policy before tuning the tree.
-func (r Regime) WaitPolicy() barrier.WaitPolicy {
-	if r == RegimeOversubscribed {
-		return barrier.SpinParkWait()
-	}
-	return barrier.SpinYieldWait()
 }

@@ -2,6 +2,7 @@ package tune
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"armbarrier/barrier"
@@ -62,18 +63,16 @@ func TestClassifyStatic(t *testing.T) {
 	}
 }
 
+// TestRegimeWaitPolicy pins ChooseWaitPolicy to the rule the barrier
+// constructors apply by default: for this host's GOMAXPROCS, each
+// regime's choice is what an option-free barrier resolves to.
 func TestRegimeWaitPolicy(t *testing.T) {
-	if got := RegimeDedicated.WaitPolicy(); got != barrier.SpinYieldWait() {
-		t.Errorf("dedicated wait = %v", got)
-	}
-	if got := RegimeOversubscribed.WaitPolicy(); got != barrier.SpinParkWait() {
-		t.Errorf("oversubscribed wait = %v", got)
-	}
-	if got := RegimeUnknown.WaitPolicy(); got != barrier.SpinYieldWait() {
-		t.Errorf("unknown wait = %v", got)
-	}
-	// ChooseWaitPolicy is the classify-then-choose composition.
-	if got := ChooseWaitPolicy(16, 8); got != barrier.SpinParkWait() {
-		t.Errorf("ChooseWaitPolicy(16, 8) = %v", got)
+	procs := runtime.GOMAXPROCS(0)
+	for _, p := range []int{procs, procs + 1} {
+		got := ChooseWaitPolicy(p, procs)
+		if want := barrier.NewOptimized(p, barrier.OptimizedConfig{}).WaitPolicy(); got != want {
+			t.Errorf("%v at P=%d: ChooseWaitPolicy %v, barrier default %v",
+				ClassifyStatic(p, procs), p, got, want)
+		}
 	}
 }

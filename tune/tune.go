@@ -34,8 +34,8 @@ type Candidate struct {
 	ClusterMajor bool
 	// Wait is the wait policy for the real barrier. The simulator cannot
 	// price it (it models cache traffic, not the scheduler), so Search
-	// leaves it at the spin-yield default; fill it with ChooseWaitPolicy
-	// for the regime the barrier will actually run in.
+	// leaves it zero: the constructor's regime default (spin-yield
+	// dedicated, spin-park oversubscribed). Set it to pin a policy.
 	Wait barrier.WaitPolicy
 	// Collective marks a candidate priced for fused allreduce episodes
 	// (SearchCollective): CostNs then includes the model's payload
@@ -61,7 +61,7 @@ func (c Candidate) Name() string {
 	if c.ClusterMajor {
 		n += "-cm"
 	}
-	if c.Wait != barrier.SpinYieldWait() {
+	if c.Wait != (barrier.WaitPolicy{}) {
 		n += "-" + c.Wait.String()
 	}
 	if c.Collective {
@@ -71,25 +71,29 @@ func (c Candidate) Name() string {
 }
 
 // RealOptions returns the constructor options the candidate needs on a
-// real barrier — currently just the wait policy when it differs from
-// the default. Pass them alongside RealConfig:
+// real barrier — currently just the wait policy when one is set (a
+// zero Wait leaves the constructor's regime default). Pass them
+// alongside RealConfig:
 //
 //	b := barrier.NewFWay(p, cfg, best.RealOptions()...)
 func (c Candidate) RealOptions() []barrier.Option {
-	if c.Wait == barrier.SpinYieldWait() {
+	if c.Wait == (barrier.WaitPolicy{}) {
 		return nil
 	}
 	return []barrier.Option{barrier.WithWaitPolicy(c.Wait)}
 }
 
-// ChooseWaitPolicy picks the wait discipline for a run of threads
-// participants on gomaxprocs schedulable cores: spin-yield while every
-// participant can own a core, spin-then-park as soon as participants
-// outnumber cores (a spinning waiter would burn the quantum of the very
-// goroutine it waits for). Shorthand for
-// ClassifyStatic(threads, gomaxprocs).WaitPolicy().
+// ChooseWaitPolicy names the policy a barrier constructor's regime
+// default resolves to for threads participants on gomaxprocs
+// schedulable cores: spin-yield while every participant can own a
+// core, spin-then-park as soon as participants outnumber cores (a
+// spinning waiter would burn the quantum of the very goroutine it
+// waits for). Use it to pin that choice for a host other than this one.
 func ChooseWaitPolicy(threads, gomaxprocs int) barrier.WaitPolicy {
-	return ClassifyStatic(threads, gomaxprocs).WaitPolicy()
+	if ClassifyStatic(threads, gomaxprocs) == RegimeOversubscribed {
+		return barrier.SpinParkWait()
+	}
+	return barrier.SpinYieldWait()
 }
 
 // simConfig builds the simulator-side configuration.

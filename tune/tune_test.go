@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -80,6 +81,11 @@ func TestCandidateNames(t *testing.T) {
 	if got := c.Name(); got != "fway-f4-pad-numatree-cm-spinpark" {
 		t.Fatalf("Name with wait policy = %q", got)
 	}
+	// An explicit spin-yield is not the default: it is named too.
+	c.Wait = barrier.SpinYieldWait()
+	if got := c.Name(); got != "fway-f4-pad-numatree-cm-spinyield" {
+		t.Fatalf("Name with explicit spin-yield = %q", got)
+	}
 }
 
 func TestChooseWaitPolicy(t *testing.T) {
@@ -103,6 +109,12 @@ func TestRealOptionsApplyWaitPolicy(t *testing.T) {
 	b := barrier.NewCentral(4, c.RealOptions()...)
 	if b.WaitPolicy() != barrier.SpinParkWait() {
 		t.Fatalf("constructed barrier policy = %v", b.WaitPolicy())
+	}
+	// An explicit spin-yield survives where the default would park.
+	c.Wait = barrier.SpinYieldWait()
+	p := runtime.GOMAXPROCS(0) + 1
+	if got := barrier.NewCentral(p, c.RealOptions()...).WaitPolicy(); got != barrier.SpinYieldWait() {
+		t.Fatalf("explicit spin-yield at P=%d constructed %v", p, got)
 	}
 }
 
