@@ -119,8 +119,8 @@ func (d *Watchdog) WaitDeadline(id int, timeout time.Duration) error {
 // Check inspects the arrival stamps and reports whether the current
 // episode has stalled: some participant has been waiting at least
 // Deadline. Safe to call from any goroutine, any number of times; the
-// background checker is just Check on a ticker. OnStall fires only the
-// first time a given stall is seen.
+// background checker is just Check once per poll period. OnStall fires
+// only the first time a given stall is seen.
 func (d *Watchdog) Check() (Stall, bool) {
 	now := monons()
 	st := Stall{Name: d.inner.Name()}

@@ -119,14 +119,16 @@ func Period(deadline time.Duration) time.Duration {
 }
 
 // Poller runs check on one background goroutine, once per period,
-// between Start and Stop.
+// between Start and Stop. The goroutine sleeps through a sleeper
+// rather than a time.Ticker, so on Linux a running poller arms no
+// runtime timer (see sleep_linux.go).
 type Poller struct {
 	period time.Duration
 	check  func()
 
-	mu   sync.Mutex // serializes Start and Stop
-	stop chan struct{}
-	done chan struct{}
+	mu    sync.Mutex // serializes Start and Stop
+	sleep *sleeper
+	done  chan struct{}
 }
 
 // NewPoller returns a stopped poller.
@@ -139,22 +141,15 @@ func NewPoller(period time.Duration, check func()) *Poller {
 func (p *Poller) Start() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.stop != nil {
+	if p.sleep != nil {
 		return
 	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	p.stop, p.done = stop, done
+	sl, done := newSleeper(), make(chan struct{})
+	p.sleep, p.done = sl, done
 	go func() {
 		defer close(done)
-		t := time.NewTicker(p.period)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				p.check()
-			}
+		for sl.sleep(p.period) {
+			p.check()
 		}
 	}()
 }
@@ -164,9 +159,9 @@ func (p *Poller) Start() {
 func (p *Poller) Stop() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.stop != nil {
-		close(p.stop)
+	if p.sleep != nil {
+		p.sleep.stop()
 		<-p.done
-		p.stop, p.done = nil, nil
+		p.sleep, p.done = nil, nil
 	}
 }

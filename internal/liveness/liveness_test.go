@@ -142,6 +142,26 @@ func TestPollerStartStop(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestPollerStopInterruptsSleep checks that Stop ends a poller in the
+// middle of a long period instead of waiting the period out.
+func TestPollerStopInterruptsSleep(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := NewPoller(time.Hour, func() { t.Error("check ran before its period") })
+	p.Start()
+	time.Sleep(10 * time.Millisecond) // let the goroutine fall asleep
+	stopped := make(chan struct{})
+	go func() {
+		p.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop waited for the poller's hour-long period")
+	}
+	waitGoroutines(t, base)
+}
+
 // waitGoroutines waits for the goroutine count to fall back to base,
 // failing with a dump of every goroutine if it does not within 5s.
 func waitGoroutines(t *testing.T, base int) {
