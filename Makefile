@@ -36,17 +36,18 @@ check: build vet fmt race suites
 # package:patterns; each pattern is an extended regexp anchored at the
 # start of a test name and must match at least one test of the
 # package. Listed: the fault-injection matrix, the streaming
-# detectors, the phase probes and drift scoreboard, the hierarchical
-# barrier and its group-size search, the fabric, the elastic phaser,
-# team and fabric groups, the one stall detector (liveness counts,
-# dedup and poller) behind every watchdog, the golden Prometheus
-# exposition of every obs writer, every (handler, format) pair of the
-# obs endpoints, the simulator kernel's goroutine-leak check, and the
-# regime-default wait policy (per constructor, explicit override,
+# change-point and straggler detectors, the phase probes and drift
+# scoreboard, the hierarchical barrier and its group-size search, the
+# fabric, the elastic phaser, team and fabric groups, the one stall
+# detector (liveness counts, dedup and poller) behind every watchdog,
+# the golden Prometheus exposition of every obs writer, every
+# (handler, format) pair of the obs endpoints, the simulator kernel's
+# goroutine-leak check, the wait-policy names and their parsing, and
+# the regime-default wait policy (per constructor, explicit override,
 # yield-first counts, bounded waits) with barrierbench's report of it.
 suites:
 	@set -f; for s in \
-		barrier:TestPhase[^r],TestHier,TestPhaser,TestRegimeDefault \
+		barrier:TestPhase[^r],TestHier,TestPhaser,TestRegimeDefault,TestWaitPolicy \
 		obs:TestStream,TestTimeline,TestRenderTimeline,TestPhase,TestDrift,TestBucketOf,TestInstrumentPhases,TestElastic,TestExpositionGolden,TestHandlerFormats \
 		cmd/barrierbench:TestStream,TestWaitPolicyResolved \
 		model:TestHier \
@@ -78,7 +79,7 @@ smoke:
 	@{ $(GO) run ./cmd/barriersim || echo "barriersim exited $$?"; } | \
 		diff -u results/experiments.txt - && \
 		echo "== barriersim output matches results/experiments.txt =="
-	@for w in default spin spinyield spinpark adaptive; do \
+	@for w in default spin spinyield spinpark; do \
 		echo "== wait=$$w =="; \
 		$(GO) run ./cmd/barrierbench -algos optimized -threads 4 \
 			-episodes 200 -repeats 2 -wait $$w || exit 1; \

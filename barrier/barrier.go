@@ -28,7 +28,8 @@
 // periodically; once participants outnumber processors they yield
 // first and then park, instead of burning the quantum of the goroutine
 // they are waiting for. WithWaitPolicy overrides the choice — e.g.
-// AdaptiveWait() lets each participant decide (see waitpolicy.go).
+// SpinWait() for participants that each own a core (see
+// waitpolicy.go).
 package barrier
 
 import (
@@ -113,25 +114,15 @@ type spinCount struct {
 }
 
 // spinUntilEq polls an atomic flag until it equals want — the
-// spin-yield wait discipline. A non-nil c receives the number of polls
-// and scheduler yields the wait took; the counters are touched once at
-// loop exit, so the nil (uninstrumented) path pays a single
-// predictable branch and no extra atomics.
+// spin-yield wait discipline. The pause between polls backs off
+// exponentially (1 → 2 → … → spinYieldEvery) so an early arrival stays
+// off the flag's cacheline; once the backoff is exhausted the waiter
+// yields to the Go scheduler between polls. A non-nil c receives the
+// number of polls and scheduler yields the wait took; the counters are
+// touched once at loop exit, so the nil (uninstrumented) path pays a
+// single predictable branch and no extra atomics.
 func spinUntilEq(f *atomic.Uint32, want uint32, c *spinCount) {
-	spins, yields := spinYieldLoop(f, want)
-	if c != nil {
-		c.spins.Add(spins)
-		c.yields.Add(yields)
-	}
-}
-
-// spinYieldLoop is the shared spin-then-yield poll loop: the pause
-// between polls backs off exponentially (1 → 2 → … → spinYieldEvery)
-// so an early arrival stays off the flag's cacheline, and once the
-// backoff is exhausted the waiter yields to the Go scheduler between
-// polls — far more responsive under oversubscription than the old
-// fixed yield-every-128-polls modulo.
-func spinYieldLoop(f *atomic.Uint32, want uint32) (spins, yields uint64) {
+	var spins, yields uint64
 	backoff := uint32(1)
 	for f.Load() != want {
 		spins++
@@ -143,7 +134,10 @@ func spinYieldLoop(f *atomic.Uint32, want uint32) (spins, yields uint64) {
 			runtime.Gosched()
 		}
 	}
-	return spins, yields
+	if c != nil {
+		c.spins.Add(spins)
+		c.yields.Add(yields)
+	}
 }
 
 // SpinCounter is implemented by barriers that can count their waiters'

@@ -241,7 +241,6 @@ func TestCollectiveAllWaitPolicies(t *testing.T) {
 		"spin":      {SpinWait(), 3, 3},
 		"spinyield": {SpinYieldWait(), 8, 50},
 		"spinpark":  {SpinParkWait(), 8, 50},
-		"adaptive":  {AdaptiveWait(), 8, 50},
 	}
 	for pname, tc := range cases {
 		for cname, mk := range collectiveFactories() {

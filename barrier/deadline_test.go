@@ -15,7 +15,6 @@ func deadlinePolicies() map[string]WaitPolicy {
 		"spin":      SpinWait(),
 		"spinyield": SpinYieldWait(),
 		"spinpark":  SpinParkWait(),
-		"adaptive":  AdaptiveWait(),
 	}
 }
 

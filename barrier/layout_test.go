@@ -63,7 +63,6 @@ func TestSharedPadSlotsAreLineMultiples(t *testing.T) {
 	// slice of them keeps the one-participant-one-line property.
 	for name, size := range map[string]uintptr{
 		"parkSlot":     unsafe.Sizeof(parkSlot{}),
-		"adaptSlot":    unsafe.Sizeof(adaptSlot{}),
 		"deadlineSlot": unsafe.Sizeof(deadlineSlot{}),
 		"probeSlot":    unsafe.Sizeof(probeSlot{}),
 	} {

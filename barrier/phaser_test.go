@@ -44,7 +44,7 @@ func partyIDs(parties []*Party) []int {
 }
 
 func TestPhaserSynchronizesAllPolicies(t *testing.T) {
-	for _, pol := range []WaitPolicy{SpinWait(), SpinYieldWait(), SpinParkWait(), AdaptiveWait()} {
+	for _, pol := range []WaitPolicy{SpinWait(), SpinYieldWait(), SpinParkWait()} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			t.Parallel()

@@ -53,7 +53,7 @@ func TestRegimeDefaultFollowsGOMAXPROCS(t *testing.T) {
 func TestRegimeDefaultExplicitPolicyWins(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	for name, mk := range regimeFactories() {
-		for _, pol := range []WaitPolicy{SpinWait(), SpinYieldWait(), SpinParkWait(), AdaptiveWait()} {
+		for _, pol := range []WaitPolicy{SpinWait(), SpinYieldWait(), SpinParkWait()} {
 			for _, p := range []int{procs, procs + 1} {
 				if got := policyOf(t, mk(p, WithWaitPolicy(pol))); got != pol {
 					t.Errorf("%s at P=%d with %v: reports %v", name, p, pol, got)

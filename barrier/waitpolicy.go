@@ -5,7 +5,7 @@ package barrier
 // (the tree shape); the wait policy decides *how* — and once P exceeds
 // GOMAXPROCS the waiting discipline, not the tree shape, dominates
 // cost: a spinning waiter burns the scheduler quantum of the very
-// goroutine it is waiting for. Four policies are provided:
+// goroutine it is waiting for. Three policies are provided:
 //
 //   - SpinWait       — pure spinning with exponential poll backoff;
 //     never yields. Lowest latency when every participant owns a core
@@ -20,15 +20,12 @@ package barrier
 //     dedicated-core fast path pays one extra load per signal and no
 //     extra read-modify-write. Oversubscribed, the waiter skips the
 //     spin and yields first (see yieldPark).
-//   - AdaptiveWait   — starts as SpinYieldWait and switches each
-//     participant to the parking discipline when its observed
-//     yields-per-wait (the same yield counts spinStats records) cross
-//     a threshold, switching back when waits become yield-free.
 //
 // Without a WithWaitPolicy option a constructor picks by regime, once,
 // from its participant count: SpinYieldWait while P <= GOMAXPROCS,
-// SpinParkWait once participants outnumber the processors. Pass an
-// explicit policy to override the rule:
+// SpinParkWait once participants outnumber the processors. That is
+// the package's one regime rule; nothing re-decides it while the
+// barrier runs. Pass an explicit policy to override the rule:
 //
 //	b := barrier.New(p, barrier.WithWaitPolicy(barrier.SpinYieldWait()))
 
@@ -51,7 +48,6 @@ const (
 	waitSpinYield
 	waitSpin
 	waitSpinPark
-	waitAdaptive
 )
 
 // WaitPolicy selects how participants wait inside a barrier. The zero
@@ -76,12 +72,6 @@ func SpinYieldWait() WaitPolicy { return WaitPolicy{kind: waitSpinYield} }
 // waiter. The default when P > GOMAXPROCS.
 func SpinParkWait() WaitPolicy { return WaitPolicy{kind: waitSpinPark} }
 
-// AdaptiveWait returns the self-tuning policy: each participant starts
-// with the spin-yield discipline and switches itself to parking when
-// its recent waits average at least one scheduler yield each (and back
-// when they become yield-free again).
-func AdaptiveWait() WaitPolicy { return WaitPolicy{kind: waitAdaptive} }
-
 // String implements fmt.Stringer with the names the -wait flags use;
 // the zero value prints as "default".
 func (p WaitPolicy) String() string {
@@ -94,8 +84,6 @@ func (p WaitPolicy) String() string {
 		return "spinyield"
 	case waitSpinPark:
 		return "spinpark"
-	case waitAdaptive:
-		return "adaptive"
 	}
 	return "wait?"
 }
@@ -112,16 +100,8 @@ func ParseWaitPolicy(s string) (WaitPolicy, error) {
 		return SpinYieldWait(), nil
 	case "spinpark":
 		return SpinParkWait(), nil
-	case "adaptive":
-		return AdaptiveWait(), nil
 	}
-	return WaitPolicy{}, fmt.Errorf("barrier: unknown wait policy %q (have spin, spinyield, spinpark, adaptive)", s)
-}
-
-// mayPark reports whether the policy can ever park, i.e. whether park
-// slots must be allocated.
-func (p WaitPolicy) mayPark() bool {
-	return p.kind == waitSpinPark || p.kind == waitAdaptive
+	return WaitPolicy{}, fmt.Errorf("barrier: unknown wait policy %q (have spin, spinyield, spinpark)", s)
 }
 
 // Option configures a barrier constructor. All constructors in this
@@ -141,10 +121,6 @@ func WithWaitPolicy(p WaitPolicy) Option {
 // is merely descheduled usually arrives within a yield or two, and a
 // park/wake pair costs two scheduler transitions.
 const parkAfterYields = 2
-
-// adaptWindow is how many waits an adaptive participant observes
-// before re-deciding its discipline.
-const adaptWindow = 64
 
 // parkState is one participant's parking place: a one-token semaphore
 // plus the parked bit the release side inspects.
@@ -167,20 +143,6 @@ type parkSlot struct {
 	_ [pad.CacheLine - unsafe.Sizeof(parkState{})%pad.CacheLine]byte
 }
 
-// adaptState is one participant's adaptive-policy accounting. Only the
-// owning participant touches it, so the fields need no atomics.
-type adaptState struct {
-	waits  uint64
-	yields uint64
-	park   bool
-}
-
-// adaptSlot pads adaptState so neighbours never share a line.
-type adaptSlot struct {
-	adaptState
-	_ [pad.CacheLine - unsafe.Sizeof(adaptState{})%pad.CacheLine]byte
-}
-
 // waitState is the embeddable wait-site implementation shared by every
 // spin barrier in this package: the spinStats counters plus the
 // configured wait policy and its parking state. Constructors call
@@ -191,8 +153,7 @@ type waitState struct {
 	// yieldFirst is set once, by initWait, when the barrier is
 	// oversubscribed under SpinParkWait; its waits then take yieldPark.
 	yieldFirst bool
-	parkSlots  []parkSlot  // non-nil iff the policy may park
-	adaptSlots []adaptSlot // non-nil iff the policy is adaptive
+	parkSlots  []parkSlot // non-nil iff the policy is SpinParkWait
 	// deadlines[id].at is non-zero while participant id runs a bounded
 	// wait (see deadline.go). Owner-only plain field: the bare-Wait fast
 	// path pays one non-atomic load of an exclusively-owned cacheline.
@@ -219,14 +180,11 @@ func (w *waitState) initWait(p int, opts []Option) {
 		}
 	}
 	w.yieldFirst = over && w.policy.kind == waitSpinPark
-	if w.policy.mayPark() {
+	if w.policy.kind == waitSpinPark {
 		w.parkSlots = make([]parkSlot, p)
 		for i := range w.parkSlots {
 			w.parkSlots[i].ch = make(chan struct{}, 1)
 		}
-	}
-	if w.policy.kind == waitAdaptive {
-		w.adaptSlots = make([]adaptSlot, p)
 	}
 	w.deadlines = make([]deadlineSlot, p)
 	w.probes = make([]probeSlot, p)
@@ -283,46 +241,13 @@ func (w *waitState) wait(id int, f *atomic.Uint32, want uint32) {
 		} else {
 			w.parkWait(id, f, want)
 		}
-	case waitAdaptive:
-		a := &w.adaptSlots[id]
-		var yields uint64
-		if a.park {
-			yields = w.parkWait(id, f, want)
-		} else {
-			var spins uint64
-			spins, yields = spinYieldLoop(f, want)
-			if c := w.slot(id); c != nil {
-				c.spins.Add(spins)
-				c.yields.Add(yields)
-			}
-		}
-		a.note(yields)
 	}
-}
-
-// note folds one wait's yield count into the adaptive decision: after
-// adaptWindow waits, park when they averaged >= 1 yield each, go back
-// to spinning when at most one wait in four yielded at all.
-func (a *adaptSlot) note(yields uint64) {
-	a.waits++
-	a.yields += yields
-	if a.waits < adaptWindow {
-		return
-	}
-	switch {
-	case a.yields >= a.waits:
-		a.park = true
-	case a.yields*4 <= a.waits:
-		a.park = false
-	}
-	a.waits, a.yields = 0, 0
 }
 
 // parkWait is the SpinParkWait discipline: spin with exponential
 // backoff, yield parkAfterYields times, then park until a releaser
-// hands over a token. Returns the scheduler yields taken (the adaptive
-// policy feeds on them).
-func (w *waitState) parkWait(id int, f *atomic.Uint32, want uint32) uint64 {
+// hands over a token.
+func (w *waitState) parkWait(id int, f *atomic.Uint32, want uint32) {
 	var spins, yields uint64
 	backoff := uint32(1)
 	for f.Load() != want {
@@ -344,7 +269,6 @@ func (w *waitState) parkWait(id int, f *atomic.Uint32, want uint32) uint64 {
 		c.spins.Add(spins)
 		c.yields.Add(yields)
 	}
-	return yields
 }
 
 // yieldPark is SpinParkWait's oversubscribed discipline: no spin

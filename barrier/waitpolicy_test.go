@@ -37,7 +37,7 @@ func optFactories() map[string]func(p int, opts ...Option) Barrier {
 }
 
 func TestWaitPolicyStringParseRoundTrip(t *testing.T) {
-	for _, p := range []WaitPolicy{{}, SpinWait(), SpinYieldWait(), SpinParkWait(), AdaptiveWait()} {
+	for _, p := range []WaitPolicy{{}, SpinWait(), SpinYieldWait(), SpinParkWait()} {
 		got, err := ParseWaitPolicy(p.String())
 		if err != nil || got != p {
 			t.Errorf("round trip of %q: got %v, %v", p, got, err)
@@ -46,14 +46,16 @@ func TestWaitPolicyStringParseRoundTrip(t *testing.T) {
 	if p, err := ParseWaitPolicy(""); err != nil || p != (WaitPolicy{}) {
 		t.Errorf("empty string: got %v, %v; want the zero (regime default) policy", p, err)
 	}
-	if _, err := ParseWaitPolicy("nap"); err == nil {
-		t.Error("unknown policy accepted")
+	for _, s := range []string{"nap", "adaptive"} {
+		if _, err := ParseWaitPolicy(s); err == nil {
+			t.Errorf("unknown policy %q accepted", s)
+		}
 	}
 }
 
 func TestWaitPolicyZeroValueIsDefault(t *testing.T) {
 	var zero WaitPolicy
-	for _, p := range []WaitPolicy{SpinWait(), SpinYieldWait(), SpinParkWait(), AdaptiveWait()} {
+	for _, p := range []WaitPolicy{SpinWait(), SpinYieldWait(), SpinParkWait()} {
 		if zero == p {
 			t.Fatalf("zero WaitPolicy equals the explicit %v", p)
 		}
@@ -71,9 +73,6 @@ func TestWaitPolicyZeroValueIsDefault(t *testing.T) {
 func TestParkSlotsCachelinePadded(t *testing.T) {
 	if got := unsafe.Sizeof(parkSlot{}); got != cacheLine {
 		t.Fatalf("parkSlot is %d bytes, want %d", got, cacheLine)
-	}
-	if got := unsafe.Sizeof(adaptSlot{}); got != cacheLine {
-		t.Fatalf("adaptSlot is %d bytes, want %d", got, cacheLine)
 	}
 }
 
@@ -100,7 +99,7 @@ func TestParkCountsOutOfRangePanics(t *testing.T) {
 // non-default policy — on this package's CI hosts participants usually
 // outnumber cores, so the parking paths genuinely run.
 func TestPolicyAlgorithmMatrix(t *testing.T) {
-	policies := []WaitPolicy{SpinParkWait(), AdaptiveWait()}
+	policies := []WaitPolicy{SpinParkWait(), SpinYieldWait()}
 	sizes := []int{1, 2, 3, 4, 5, 8, 9, 16, 17}
 	for name, mk := range optFactories() {
 		name, mk := name, mk
@@ -125,7 +124,7 @@ func TestSpinParkManyRoundsReuse(t *testing.T) {
 	// parked bit would deadlock or corrupt an odd/even episode count.
 	verifyBarrier(t, NewCentral(8, WithWaitPolicy(SpinParkWait())), 201)
 	verifyBarrier(t, New(8, WithWaitPolicy(SpinParkWait())), 201)
-	verifyBarrier(t, NewDissemination(8, WithWaitPolicy(AdaptiveWait())), 201)
+	verifyBarrier(t, NewDissemination(8, WithWaitPolicy(SpinParkWait())), 201)
 }
 
 func TestSpinParkOversubscribed(t *testing.T) {
@@ -138,7 +137,6 @@ func TestSpinParkOversubscribed(t *testing.T) {
 		func(p int, o ...Option) Barrier { return NewHierarchical(p, HierarchicalConfig{GroupSize: 4}, o...) },
 	} {
 		verifyBarrier(t, mk(16, WithWaitPolicy(SpinParkWait())), 5)
-		verifyBarrier(t, mk(16, WithWaitPolicy(AdaptiveWait())), 5)
 	}
 }
 
@@ -230,33 +228,6 @@ func TestUnparkWithoutParkedWaiterIsNoop(t *testing.T) {
 	case <-w.parkSlots[0].ch:
 		t.Fatal("unpark of a non-parked slot deposited a token")
 	default:
-	}
-}
-
-func TestAdaptiveNoteSwitches(t *testing.T) {
-	var a adaptSlot
-	// A yield on every wait of the window switches the owner to parking.
-	for i := 0; i < adaptWindow; i++ {
-		a.note(1)
-	}
-	if !a.park {
-		t.Fatal("one yield per wait did not enable parking")
-	}
-	// Yield-free waits switch it back.
-	for i := 0; i < adaptWindow; i++ {
-		a.note(0)
-	}
-	if a.park {
-		t.Fatal("yield-free window did not disable parking")
-	}
-	// A mildly-yielding window (between the thresholds) keeps the
-	// current discipline: hysteresis, not flapping.
-	a.park = true
-	for i := 0; i < adaptWindow; i++ {
-		a.note(uint64(i % 2)) // half the waits yield once
-	}
-	if !a.park {
-		t.Fatal("mid-band window flipped the discipline")
 	}
 }
 

@@ -93,7 +93,7 @@ func run(args []string, out io.Writer) error {
 		plistFlag   = fs.String("plist", "", "large-P scaling sweep: comma-separated participant counts run in one invocation into a single report (overrides -threads and -oversub; e.g. 64,256,1024,4096)")
 		hierGroup   = fs.Int("hiergroup", 0, "group size for the hier algorithm (0 = probe-based auto-derivation)")
 		algosFlag   = fs.String("algos", "", "comma-separated algorithm names (default all)")
-		waitFlag    = fs.String("wait", "", "wait policy: spin, spinyield, spinpark, adaptive (default: by regime, spinyield while P <= GOMAXPROCS and spinpark above)")
+		waitFlag    = fs.String("wait", "", "wait policy: spin, spinyield, spinpark (default: by regime, spinyield while P <= GOMAXPROCS and spinpark above)")
 		oversub     = fs.Bool("oversub", false, "oversubscription sweep: participants at 1x, 2x and 4x GOMAXPROCS (overrides -threads)")
 		collective  = fs.String("collective", "", "collective mode: 'allreduce' benchmarks fused vs barrier-separated reduction per algorithm")
 		episodes    = fs.Int("episodes", 2000, "timed barrier episodes per measurement")
@@ -102,7 +102,7 @@ func run(args []string, out io.Writer) error {
 		regions     = fs.Bool("regions", false, "measure omp parallel-region overhead instead of bare barriers")
 		metrics     = fs.Bool("metrics", false, "instrument the measured barriers and print a telemetry table")
 		phasesFlag  = fs.Bool("phases", false, "arm phase/level probes and print per-(phase,level) cost tables plus the model-drift scoreboard")
-		streamFlag  = fs.Bool("stream", false, "attach the windowed telemetry stream and print each measurement's timeline (sparklines, regime, alerts)")
+		streamFlag  = fs.Bool("stream", false, "attach the windowed telemetry stream and print each measurement's timeline (sparklines, alerts)")
 		streamWin   = fs.Duration("streamwindow", 100*time.Millisecond, "stream rotation window for -stream")
 		jsonout     = fs.String("jsonout", "", "write results as JSON to this file (or BENCH_<timestamp>.json inside this directory)")
 		traceFlag   = fs.Bool("trace", false, "attach a flight recorder and print the worst captured episodes per measurement")

@@ -16,7 +16,7 @@ type streamedMeasurement struct {
 
 // printTimelines renders each measurement's window series the same way
 // the /debug/timeline endpoint's text mode does: labelled ASCII
-// sparklines, the detector's regime conclusion, and any alerts the run
+// sparklines, the last window's straggler, and any alerts the run
 // raised.
 func printTimelines(out io.Writer, streamed []streamedMeasurement) {
 	fmt.Fprintf(out, "\nWindowed telemetry (one row per metric; windows oldest to newest)\n")

@@ -15,7 +15,7 @@ func TestStreamMode(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"Windowed telemetry", "== optimized/2T", "timeline optimized",
-		"episodes/s", "wait p99", "regime", "last window",
+		"episodes/s", "wait p99", "last window",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stream output missing %q:\n%s", want, out)

@@ -46,7 +46,8 @@ func (r Result) String() string {
 // regimes are different experiments — spinning policies that win
 // dedicated collapse oversubscribed — so results should never be
 // compared across the boundary. The label is tune.Regime vocabulary
-// (tune.ClassifyStatic), shared with the obs/stream online detector.
+// (tune.ClassifyStatic), the rule the barrier constructors apply when
+// they pick their default wait policy.
 func Regime(threads, gomaxprocs int) string {
 	return tune.ClassifyStatic(threads, gomaxprocs).String()
 }

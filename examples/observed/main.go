@@ -10,9 +10,9 @@
 //	/debug/episodes?format=gantt text Gantt lanes + straggler attribution
 //	/debug/episodes?format=chrome Chrome trace JSON — load in Perfetto
 //	/debug/watchdog              stall detector state (armbarrier_watchdog_* families)
-//	/debug/timeline              windowed time-series rollups as JSON (regime, alerts)
+//	/debug/timeline              windowed time-series rollups as JSON (with alerts)
 //	/debug/timeline?format=text  the same series as ASCII sparklines
-//	/debug/timeline?format=prom  current-window gauges with a regime label
+//	/debug/timeline?format=prom  current-window gauges (armbarrier_stream_* families)
 //	/debug/phases                per-(phase,level) costs + model-drift scoreboard (JSON)
 //	/debug/phases?format=prom    the same as armbarrier_phase_*/armbarrier_drift_* families
 //	/debug/phases?format=text    the drift scoreboard as an aligned table
@@ -94,8 +94,9 @@ func main() {
 	})
 
 	// The stream turns the live counters into a windowed time-series:
-	// per-second rollups, regime classification, change-point and
-	// straggler alerts. Alerts go to the log the same way stalls do.
+	// per-second rollups (yield and park rates among them),
+	// change-point and straggler alerts. Alerts go to the log the same
+	// way stalls do.
 	st := obs.NewStream(tr.Instrumented, obs.StreamOptions{
 		Window:   time.Second,
 		Watchdog: wd,

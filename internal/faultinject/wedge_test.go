@@ -51,7 +51,6 @@ func policies() map[string]barrier.WaitPolicy {
 		"spin":      barrier.SpinWait(),
 		"spinyield": barrier.SpinYieldWait(),
 		"spinpark":  barrier.SpinParkWait(),
-		"adaptive":  barrier.AdaptiveWait(),
 	}
 }
 

@@ -1,30 +1,22 @@
 package obs
 
-import (
-	"fmt"
-
-	"armbarrier/tune"
-)
+import "fmt"
 
 // Alerting for the streaming telemetry layer: detectors (detect.go)
-// raise typed Alerts with hysteresis (confirmation windows for regime
-// shifts, detector reset + holddown for change points, K-consecutive
-// persistence for stragglers), the stream keeps a bounded history, and
-// StreamOptions.OnAlert delivers each one to a handler callback — the
-// same push pattern as barrier.WatchdogConfig.OnStall, so a service
-// wires both into the same pager path.
+// raise typed Alerts with hysteresis (detector reset + holddown for
+// change points, K-consecutive persistence for stragglers), the stream
+// keeps a bounded history, and StreamOptions.OnAlert delivers each one
+// to a handler callback — the same push pattern as
+// barrier.WatchdogConfig.OnStall, so a service wires both into the
+// same pager path.
 
 // AlertKind enumerates what the streaming detectors can raise.
 type AlertKind uint8
 
 const (
-	// AlertRegimeShift fires when the confirmed regime flips (e.g.
-	// dedicated -> oversubscribed), after DetectorOptions.RegimeConfirm
-	// agreeing windows.
-	AlertRegimeShift AlertKind = iota
 	// AlertChangePoint fires when Page-Hinkley detects a sustained
 	// level shift in a watched metric (wait_p99_ns or skew_mean_ns).
-	AlertChangePoint
+	AlertChangePoint AlertKind = iota
 	// AlertStraggler fires when the same participant is slow in
 	// DetectorOptions.StragglerWindows consecutive windows.
 	AlertStraggler
@@ -43,7 +35,6 @@ const (
 
 // alertKindNames are the wire labels, used for JSON and Prometheus.
 var alertKindNames = map[AlertKind]string{
-	AlertRegimeShift:      "regime_shift",
 	AlertChangePoint:      "change_point",
 	AlertStraggler:        "straggler",
 	AlertStragglerCleared: "straggler_cleared",
@@ -83,10 +74,8 @@ type Alert struct {
 	AtNs   int64  `json:"at_ns"`
 	// Barrier is the instrumented barrier's name.
 	Barrier string `json:"barrier"`
-	// Regime is the confirmed regime when the alert fired.
-	Regime tune.Regime `json:"regime"`
-	// Metric names what fired (wait_p99_ns, skew_mean_ns, regime,
-	// straggler, watchdog_stalls).
+	// Metric names what fired (wait_p99_ns, skew_mean_ns, straggler,
+	// watchdog_stalls).
 	Metric string `json:"metric"`
 	// Participant is the culprit for straggler alerts, -1 otherwise.
 	Participant int `json:"participant"`

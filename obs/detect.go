@@ -5,35 +5,19 @@ import (
 	"math"
 
 	"armbarrier/internal/stats"
-	"armbarrier/tune"
 )
 
 // Online detectors for the streaming telemetry layer: each rotation
-// hands the fresh WindowStats to detectors.observe, which classifies
-// the scheduling regime, watches p99 wait and mean skew for change
-// points, scores cross-window straggler persistence, and raises the
-// corresponding alerts (alert.go). All state is owned by the stream's
-// rotation lock; nothing here runs on the Wait hot path.
+// hands the fresh WindowStats to detectors.observe, which watches p99
+// wait and mean skew for change points, scores cross-window straggler
+// persistence, and raises the corresponding alerts (alert.go). All
+// state is owned by the stream's rotation lock; nothing here runs on
+// the Wait hot path.
 
 // DetectorOptions tunes the online detectors. Zero fields take the
 // documented defaults, so StreamOptions{} gets a sensible production
 // configuration.
 type DetectorOptions struct {
-	// ParksPerRound is the park pressure (parks per participant-round)
-	// at or above which a window classifies as oversubscribed: parking
-	// only happens when spinning lost its core. Default 0.2.
-	ParksPerRound float64
-	// YieldsPerRound is the yield pressure (scheduler yields per
-	// participant-round) at or above which a window classifies as
-	// oversubscribed even without parking — the spin-yield policy's
-	// signature when waiters outnumber cores. Default 8.
-	YieldsPerRound float64
-	// RegimeConfirm is how many consecutive windows must agree before
-	// the confirmed regime flips (and AlertRegimeShift fires); the
-	// hysteresis that keeps a single noisy window from flapping the
-	// classification. Default 2.
-	RegimeConfirm int
-
 	// ChangeDelta and ChangeLambda tune the Page-Hinkley change-point
 	// detectors watching log10(p99 wait) and log10(mean skew): drifts
 	// below Delta decades are tolerated, an accumulated drift of
@@ -65,15 +49,6 @@ type DetectorOptions struct {
 
 // withDefaults fills zero fields.
 func (o DetectorOptions) withDefaults() DetectorOptions {
-	if o.ParksPerRound <= 0 {
-		o.ParksPerRound = 0.2
-	}
-	if o.YieldsPerRound <= 0 {
-		o.YieldsPerRound = 8
-	}
-	if o.RegimeConfirm <= 0 {
-		o.RegimeConfirm = 2
-	}
 	if o.ChangeDelta <= 0 {
 		o.ChangeDelta = 0.05
 	}
@@ -102,13 +77,6 @@ func (o DetectorOptions) withDefaults() DetectorOptions {
 type detectors struct {
 	opts DetectorOptions
 
-	// Regime state machine: regime is confirmed, pending is the
-	// candidate a differing classification proposes, streak counts how
-	// many consecutive windows agreed with pending.
-	regime  tune.Regime
-	pending tune.Regime
-	streak  int
-
 	// Change-point detectors on log10 of the metric; holdX is the
 	// window index before which re-alerts are suppressed.
 	p99      stats.PageHinkley
@@ -134,8 +102,6 @@ func newDetectors(opts DetectorOptions) detectors {
 	o := opts.withDefaults()
 	return detectors{
 		opts:      o,
-		regime:    tune.RegimeUnknown,
-		pending:   tune.RegimeUnknown,
 		p99:       stats.PageHinkley{Delta: o.ChangeDelta, Lambda: o.ChangeLambda, MinSamples: o.ChangeMinSamples},
 		skew:      stats.PageHinkley{Delta: o.ChangeDelta, Lambda: o.ChangeLambda, MinSamples: o.ChangeMinSamples},
 		p99Smooth: stats.NewEWMA(0.3),
@@ -143,55 +109,14 @@ func newDetectors(opts DetectorOptions) detectors {
 	}
 }
 
-// classify maps one window's park/yield pressure to a regime. An idle
-// window classifies as unknown — it carries no scheduling evidence.
-func (d *detectors) classify(w *WindowStats) tune.Regime {
-	if w.Rounds == 0 {
-		return tune.RegimeUnknown
-	}
-	if w.ParksPerRound >= d.opts.ParksPerRound || w.YieldsPerRound >= d.opts.YieldsPerRound {
-		return tune.RegimeOversubscribed
-	}
-	return tune.RegimeDedicated
-}
-
 // observe folds one freshly rolled window into every detector. It
-// fills w.Regime/w.Straggler/w.StragglerSkewNs and returns the alerts
+// fills w.Straggler/w.StragglerSkewNs and returns the alerts
 // the window raised. offsets is each participant's mean arrival offset
 // this window (valid when w.SkewRounds > 0).
 func (d *detectors) observe(w *WindowStats, participants int, offsets []float64) []Alert {
 	var fired []Alert
 
-	// 1. Regime classification with confirmation hysteresis.
-	if raw := d.classify(w); raw != tune.RegimeUnknown {
-		if raw == d.regime {
-			d.pending, d.streak = tune.RegimeUnknown, 0
-		} else {
-			if raw != d.pending {
-				d.pending, d.streak = raw, 0
-			}
-			d.streak++
-			if d.streak >= d.opts.RegimeConfirm || d.regime == tune.RegimeUnknown {
-				old := d.regime
-				d.regime = raw
-				d.pending, d.streak = tune.RegimeUnknown, 0
-				if old != tune.RegimeUnknown {
-					fired = append(fired, Alert{
-						Kind:        AlertRegimeShift,
-						Window:      w.Index,
-						AtNs:        w.EndNs,
-						Regime:      raw,
-						Participant: -1,
-						Metric:      "regime",
-						Message:     fmt.Sprintf("regime shifted %s -> %s (parks/round %.2f, yields/round %.1f)", old, raw, w.ParksPerRound, w.YieldsPerRound),
-					})
-				}
-			}
-		}
-	}
-	w.Regime = d.regime
-
-	// 2. Change points on log10(p99 wait) and log10(mean skew). The
+	// 1. Change points on log10(p99 wait) and log10(mean skew). The
 	// detector resets after every alarm so the post-change level
 	// becomes the new baseline; the holddown suppresses alert storms
 	// while the series settles.
@@ -207,17 +132,16 @@ func (d *detectors) observe(w *WindowStats, participants int, offsets []float64)
 		}
 	}
 
-	// 3. Cross-window straggler persistence.
+	// 2. Cross-window straggler persistence.
 	fired = append(fired, d.stragglerScore(w, participants, offsets)...)
 
-	// 4. Watchdog stalls surface as alerts too, with the same holddown.
+	// 3. Watchdog stalls surface as alerts too, with the same holddown.
 	if w.WatchdogStalls > 0 && w.Index >= d.holdStall {
 		d.holdStall = w.Index + uint64(d.opts.HolddownWindows)
 		fired = append(fired, Alert{
 			Kind:        AlertWatchdogStall,
 			Window:      w.Index,
 			AtNs:        w.EndNs,
-			Regime:      d.regime,
 			Participant: -1,
 			Metric:      "watchdog_stalls",
 			Value:       float64(w.WatchdogStalls),
@@ -243,7 +167,6 @@ func (d *detectors) changePoint(ph *stats.PageHinkley, hold *uint64, w *WindowSt
 		Kind:        AlertChangePoint,
 		Window:      w.Index,
 		AtNs:        w.EndNs,
-		Regime:      d.regime,
 		Participant: -1,
 		Metric:      metric,
 		Value:       value,
@@ -287,7 +210,6 @@ func (d *detectors) stragglerScore(w *WindowStats, participants int, offsets []f
 				Kind:        AlertStragglerCleared,
 				Window:      w.Index,
 				AtNs:        w.EndNs,
-				Regime:      d.regime,
 				Metric:      "straggler",
 				Participant: d.straggler,
 				Message:     fmt.Sprintf("participant %d no longer persistently slow", d.straggler),
@@ -307,7 +229,6 @@ func (d *detectors) stragglerScore(w *WindowStats, participants int, offsets []f
 				Kind:        AlertStraggler,
 				Window:      w.Index,
 				AtNs:        w.EndNs,
-				Regime:      d.regime,
 				Metric:      "straggler",
 				Participant: culprit,
 				Value:       offset,

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,18 +60,23 @@ func firstLine(s string) string {
 	return s
 }
 
+// publishRuns numbers TestPublishDuplicatePanics invocations, so each
+// run under -count=N publishes a name of its own.
+var publishRuns atomic.Int64
+
 // TestPublishDuplicatePanics pins the documented expvar contract:
 // publishing the same name twice panics (the standard registry has no
 // unregister), so callers must treat Publish as once-per-process.
 func TestPublishDuplicatePanics(t *testing.T) {
+	name := fmt.Sprintf("export_test_dup_%d", publishRuns.Add(1))
 	in := Instrument(barrier.New(1), Options{Name: "dup-test"})
-	in.Publish("export_test_dup") // first registration is fine
+	in.Publish(name) // first registration is fine
 	defer func() {
 		if recover() == nil {
 			t.Error("second Publish under the same name did not panic")
 		}
 	}()
-	in.Publish("export_test_dup")
+	in.Publish(name)
 }
 
 // TestSnapshotJSONRoundTripMerged merges two snapshots and checks the

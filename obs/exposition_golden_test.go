@@ -11,7 +11,6 @@ import (
 
 	"armbarrier/barrier"
 	"armbarrier/internal/liveness"
-	"armbarrier/tune"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite obs/testdata/*.prom from the current exporters")
@@ -66,12 +65,11 @@ func goldenSnapshot() Snapshot {
 func goldenStream() (before, after StreamSnapshot) {
 	before = StreamSnapshot{
 		Barrier: "stream", Participants: 4, WindowNs: 250_000_000,
-		Regime: tune.RegimeUnknown, Straggler: -1, Counts: map[string]uint64{},
+		Straggler: -1, Counts: map[string]uint64{},
 	}
 	after = StreamSnapshot{
 		Barrier: "stream", Participants: 4, WindowNs: 250_000_000, Rotations: 2,
-		Regime: tune.RegimeOversubscribed, Straggler: 3,
-		Timeouts: 1, Panics: 0, WatchdogStalls: 1 << 54,
+		Straggler: 3, Timeouts: 1, Panics: 0, WatchdogStalls: 1 << 54,
 		Windows: []WindowStats{
 			{Index: 0, Rounds: 100, WaitSamples: 10, SkewRounds: 10, EpisodeRate: 400},
 			{Index: 1, Rounds: 80, WaitSamples: 8, SkewRounds: 0,
@@ -79,7 +77,7 @@ func goldenStream() (before, after StreamSnapshot) {
 				SkewMeanNs: 99, SkewP99Ns: 99, SpinRate: 1e-3, YieldRate: 12, ParkRate: 0, WakeRate: 7.75},
 		},
 		Counts: map[string]uint64{
-			AlertRegimeShift.String(): 2, AlertStraggler.String(): 1, AlertWatchdogStall.String(): 1000000,
+			AlertStraggler.String(): 1, AlertWatchdogStall.String(): 1000000,
 		},
 	}
 	return before, after

@@ -7,7 +7,6 @@ import (
 
 	"armbarrier/barrier"
 	"armbarrier/internal/liveness"
-	"armbarrier/tune"
 )
 
 // Stream is the always-on time-series layer over an Instrumented
@@ -15,9 +14,12 @@ import (
 // per-participant accumulators into a ring of per-window rollups
 // (episode rate, wait quantiles, arrival skew, spin/yield/park/wake
 // rates, timeout/panic/watchdog counts), and online detectors run per
-// rotation — regime classification, Page-Hinkley change-point
-// detection on p99 wait and skew, and cross-window straggler
-// persistence scoring (see detect.go, alert.go).
+// rotation — Page-Hinkley change-point detection on p99 wait and skew,
+// and cross-window straggler persistence scoring (see detect.go,
+// alert.go). The stream does not classify the scheduling regime: the
+// barrier picks its wait policy from P against GOMAXPROCS once, at
+// construction, and the yield and park rates below are the evidence
+// of how that choice behaves.
 //
 // The point-in-time Snapshot and the triggered flight recorder answer
 // "what does the barrier look like now" and "what did the worst round
@@ -60,9 +62,9 @@ type Stream struct {
 }
 
 // DefaultWindow is the default rotation interval. One second keeps the
-// rollup cost negligible while still bounding how stale a regime
-// classification can be; latency-sensitive services run 100ms windows
-// and stay within the overhead budget.
+// rollup cost negligible while still bounding how stale a window's
+// rollup can be; latency-sensitive services run 100ms windows and stay
+// within the overhead budget.
 const DefaultWindow = time.Second
 
 // DefaultWindowCapacity is the default ring size: ten minutes of
@@ -133,8 +135,8 @@ type WindowStats struct {
 	YieldRate float64 `json:"yield_rate"`
 	ParkRate  float64 `json:"park_rate"`
 	WakeRate  float64 `json:"wake_rate"`
-	// ParksPerRound/YieldsPerRound are per participant-round averages,
-	// the regime detector's inputs.
+	// ParksPerRound/YieldsPerRound are per participant-round averages:
+	// how hard the barrier's waiters lean on the scheduler.
 	ParksPerRound  float64 `json:"parks_per_round"`
 	YieldsPerRound float64 `json:"yields_per_round"`
 
@@ -142,9 +144,6 @@ type WindowStats struct {
 	Panics         uint64 `json:"panics"`
 	WatchdogStalls uint64 `json:"watchdog_stalls"`
 
-	// Regime is the stream's confirmed regime after this window's
-	// classification was folded in (tune vocabulary).
-	Regime tune.Regime `json:"regime"`
 	// Straggler is the participant this window's skew named slow, -1
 	// when none; StragglerSkewNs is its mean arrival offset. A single
 	// slow window is not an alert — see DetectorOptions.StragglerWindows.
@@ -373,9 +372,8 @@ func (s *Stream) ingest(cur Snapshot, stalls uint64, nowNs int64) []Alert {
 	s.totPanics += w.Panics
 	s.totStalls += w.WatchdogStalls
 
-	// Online detectors: regime classification, change points,
-	// straggler persistence. They fill w.Regime/w.Straggler and return
-	// the alerts this window raised.
+	// Online detectors: change points, straggler persistence. They fill
+	// w.Straggler and return the alerts this window raised.
 	fired := s.det.observe(&w, len(cur.PerParti), offsets)
 	for i := range fired {
 		fired[i].Barrier = cur.Barrier
@@ -424,13 +422,6 @@ func (s *Stream) Alerts() []Alert {
 	out := make([]Alert, len(s.alerts))
 	copy(out, s.alerts)
 	return out
-}
-
-// Regime returns the stream's current confirmed regime.
-func (s *Stream) Regime() tune.Regime {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.det.regime
 }
 
 // Straggler returns the participant currently under a persistent

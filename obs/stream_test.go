@@ -12,15 +12,13 @@ import (
 	"time"
 
 	"armbarrier/barrier"
-	"armbarrier/tune"
 )
 
 // synthFeed drives deterministic synthetic snapshots through the full
-// rollup + detector path (Stream.ingest), so windowed rollups, regime
-// flips, change points and straggler persistence are testable without
-// real timing. The feed owns a cumulative Snapshot (the shape ingest
-// diffs) and a synthetic monotonic clock aligned with the stream's
-// baseline.
+// rollup + detector path (Stream.ingest), so windowed rollups, change
+// points and straggler persistence are testable without real timing.
+// The feed owns a cumulative Snapshot (the shape ingest diffs) and a
+// synthetic monotonic clock aligned with the stream's baseline.
 type synthFeed struct {
 	t     *testing.T
 	st    *Stream
@@ -189,9 +187,6 @@ func TestStreamIdleWindow(t *testing.T) {
 			t.Fatalf("idle window holds non-finite value: %+v", w)
 		}
 	}
-	if w.Regime != tune.RegimeUnknown {
-		t.Errorf("idle window regime = %v, want unknown (no scheduling evidence)", w.Regime)
-	}
 }
 
 func TestStreamRingCapacity(t *testing.T) {
@@ -213,11 +208,11 @@ func TestStreamRingCapacity(t *testing.T) {
 	}
 }
 
-// TestStreamRegimeShiftFlips is the first acceptance criterion: an
-// injected oversubscription shift (park/yield pressure jumping the way
-// it does when waiters outnumber cores) flips the reported regime
-// within 3 windows, raising AlertRegimeShift exactly once.
-func TestStreamRegimeShiftFlips(t *testing.T) {
+// TestStreamChangePointFiresOnce: a sustained level shift in p99 wait
+// raises exactly one change-point alert — the detector re-baselines
+// and the holddown holds, so the post-shift plateau never re-alarms —
+// and OnAlert delivers it.
+func TestStreamChangePointFiresOnce(t *testing.T) {
 	var delivered []Alert
 	var f *synthFeed
 	f = newSynthFeed(t, 4, StreamOptions{OnAlert: func(a Alert) {
@@ -226,66 +221,6 @@ func TestStreamRegimeShiftFlips(t *testing.T) {
 		_ = f.st.Series()
 		delivered = append(delivered, a)
 	}})
-
-	// Dedicated phase: no parking, light yielding.
-	for i := 0; i < 3; i++ {
-		f.window(winSpec{rounds: 500, waitNs: 2000, yields: 100}) // 0.2 yields/round
-	}
-	if got := f.st.Regime(); got != tune.RegimeDedicated {
-		t.Fatalf("regime after dedicated phase = %v, want dedicated", got)
-	}
-
-	// Oversubscription starts: every round parks.
-	flipWindow := -1
-	for i := 0; i < 3; i++ {
-		f.window(winSpec{rounds: 500, waitNs: 2000, parks: 500, yields: 100})
-		if flipWindow < 0 && f.st.Regime() == tune.RegimeOversubscribed {
-			flipWindow = i + 1
-		}
-	}
-	if flipWindow < 0 {
-		t.Fatal("regime never flipped to oversubscribed")
-	}
-	if flipWindow > 3 {
-		t.Fatalf("regime flipped after %d oversubscribed windows, want <= 3", flipWindow)
-	}
-
-	var shifts []Alert
-	for _, a := range f.st.Alerts() {
-		if a.Kind == AlertRegimeShift {
-			shifts = append(shifts, a)
-		}
-	}
-	if len(shifts) != 1 {
-		t.Fatalf("got %d regime-shift alerts, want exactly 1: %v", len(shifts), shifts)
-	}
-	if shifts[0].Regime != tune.RegimeOversubscribed || shifts[0].Barrier != "synth" {
-		t.Errorf("alert = %+v, want regime oversubscribed on barrier synth", shifts[0])
-	}
-	if len(delivered) != 1 || delivered[0].Kind != AlertRegimeShift {
-		t.Errorf("OnAlert delivered %v, want the one regime-shift alert", delivered)
-	}
-
-	// The initial adoption from unknown must not have alerted, and the
-	// per-window regime must show the confirmation lag then the flip.
-	series := f.st.Series()
-	if series[0].Regime != tune.RegimeDedicated {
-		t.Errorf("window 0 regime = %v, want dedicated (immediate adoption from unknown)", series[0].Regime)
-	}
-	if series[3].Regime != tune.RegimeDedicated {
-		t.Errorf("window 3 regime = %v, want dedicated (hysteresis holds one window)", series[3].Regime)
-	}
-	if series[4].Regime != tune.RegimeOversubscribed {
-		t.Errorf("window 4 regime = %v, want oversubscribed (confirmed)", series[4].Regime)
-	}
-}
-
-// TestStreamChangePointFiresOnce is the second acceptance criterion: a
-// sustained level shift in p99 wait raises exactly one change-point
-// alert — the detector re-baselines and the holddown holds, so the
-// post-shift plateau never re-alarms.
-func TestStreamChangePointFiresOnce(t *testing.T) {
-	f := newSynthFeed(t, 4, StreamOptions{})
 	for i := 0; i < 8; i++ {
 		f.window(winSpec{rounds: 200, waitNs: 5000})
 	}
@@ -312,6 +247,9 @@ func TestStreamChangePointFiresOnce(t *testing.T) {
 	}
 	if a.Value < float64(1<<20) {
 		t.Errorf("alert value = %g, want the post-shift level (>= %d)", a.Value, 1<<20)
+	}
+	if len(delivered) != 1 || delivered[0].Kind != AlertChangePoint || delivered[0].Barrier != "synth" {
+		t.Errorf("OnAlert delivered %v, want the one change-point alert on barrier synth", delivered)
 	}
 }
 
@@ -546,23 +484,6 @@ func TestStreamPrometheusParses(t *testing.T) {
 	})
 	st.Rotate()
 	check("post-rotation", false)
-
-	// The regime one-hot must mark exactly the current regime.
-	var b strings.Builder
-	_ = WriteStreamPrometheus(&b, st.Timeline())
-	cur := st.Regime().String()
-	for _, line := range strings.Split(b.String(), "\n") {
-		if !strings.HasPrefix(line, "armbarrier_stream_regime{") {
-			continue
-		}
-		want := "0"
-		if strings.Contains(line, `regime="`+cur+`"`) {
-			want = "1"
-		}
-		if !strings.HasSuffix(line, " "+want) {
-			t.Errorf("regime one-hot line %q, want value %s", line, want)
-		}
-	}
 }
 
 func TestRenderTimeline(t *testing.T) {
@@ -578,7 +499,7 @@ func TestRenderTimeline(t *testing.T) {
 		f.window(winSpec{rounds: 100, waitNs: wait})
 	}
 	out := RenderTimeline(f.st.Timeline(), 8)
-	for _, want := range []string{"wait p99", "episodes/s", "regime dedicated", "last window #9"} {
+	for _, want := range []string{"wait p99", "episodes/s", "last window #9"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline rendering missing %q:\n%s", want, out)
 		}

@@ -9,11 +9,10 @@ import (
 	"time"
 
 	"armbarrier/internal/plot"
-	"armbarrier/tune"
 )
 
 // Exporters for the streaming telemetry layer: a Prometheus exposition
-// of the current window (with a regime label), a JSON timeline of the
+// of the current window, a JSON timeline of the
 // whole ring, and an ASCII-sparkline rendering for terminals — all
 // three served by TimelineHandler, so /debug/timeline is the one URL a
 // fleet needs.
@@ -28,10 +27,9 @@ type StreamSnapshot struct {
 	// Rotations counts every window ever rolled, including those that
 	// have left the ring.
 	Rotations uint64 `json:"rotations"`
-	// Regime is the current confirmed regime; Straggler the
-	// participant under an active straggler alert (-1 none).
-	Regime    tune.Regime `json:"regime"`
-	Straggler int         `json:"straggler"`
+	// Straggler is the participant under an active straggler alert
+	// (-1 none).
+	Straggler int `json:"straggler"`
 	// Totals for the counter-style exports.
 	Timeouts       uint64 `json:"timeouts_total"`
 	Panics         uint64 `json:"panics_total"`
@@ -52,7 +50,6 @@ func (s *Stream) Timeline() StreamSnapshot {
 		Participants:   s.in.Participants(),
 		WindowNs:       int64(s.window),
 		Rotations:      s.rotations,
-		Regime:         s.det.regime,
 		Straggler:      -1,
 		Timeouts:       s.totTimeouts,
 		Panics:         s.totPanics,
@@ -74,11 +71,10 @@ func (s *Stream) Timeline() StreamSnapshot {
 
 // WriteStreamPrometheus writes the stream snapshot in Prometheus text
 // exposition format. Metric families (every series carries
-// barrier="<name>"; window gauges carry regime="<current>"):
+// barrier="<name>"):
 //
 //	armbarrier_stream_window_seconds             gauge
 //	armbarrier_stream_rotations_total            counter
-//	armbarrier_stream_regime{regime}             gauge (one-hot)
 //	armbarrier_stream_episode_rate               gauge
 //	armbarrier_stream_wait_p50_ns / _p99_ns / _max_ns  gauge (NaN when sampleless)
 //	armbarrier_stream_skew_mean_ns / _p99_ns     gauge (NaN when sampleless)
@@ -90,10 +86,6 @@ func WriteStreamPrometheus(w io.Writer, s StreamSnapshot) error {
 	p := newPromWriter().with("barrier", s.Barrier)
 	p.scalar("armbarrier_stream_window_seconds", "gauge", "Configured rotation interval.", float64(s.WindowNs)/1e9)
 	p.scalar("armbarrier_stream_rotations_total", "counter", "Windows rolled since the stream attached.", s.Rotations)
-	p.family("armbarrier_stream_regime", "gauge", "Current confirmed scheduling regime (one-hot).")
-	for _, r := range []tune.Regime{tune.RegimeUnknown, tune.RegimeDedicated, tune.RegimeOversubscribed} {
-		p.with("regime", r).sample("armbarrier_stream_regime", r == s.Regime)
-	}
 
 	// Current-window gauges. Before the first rotation every gauge is
 	// NaN: there is no window to describe.
@@ -101,12 +93,11 @@ func WriteStreamPrometheus(w io.Writer, s StreamSnapshot) error {
 	if len(s.Windows) > 0 {
 		last = s.Windows[len(s.Windows)-1]
 	}
-	rp := p.with("regime", s.Regime)
 	gauge := func(name, help string, v float64, sampled bool) {
 		if len(s.Windows) == 0 || !sampled {
 			v = math.NaN()
 		}
-		rp.scalar(name, "gauge", help, v)
+		p.scalar(name, "gauge", help, v)
 	}
 	gauge("armbarrier_stream_episode_rate", "Completed episodes per second, current window.", last.EpisodeRate, true)
 	gauge("armbarrier_stream_wait_p50_ns", "p50 wait latency, current window.", last.WaitP50Ns, last.WaitSamples > 0)
@@ -124,7 +115,7 @@ func WriteStreamPrometheus(w io.Writer, s StreamSnapshot) error {
 	p.scalar("armbarrier_stream_panics_total", "counter", "Participant panics reported to the stream.", s.Panics)
 	p.scalar("armbarrier_stream_watchdog_stalls_total", "counter", "Watchdog stalls folded into windows.", s.WatchdogStalls)
 	p.family("armbarrier_stream_alerts_total", "counter", "Alerts raised by the streaming detectors.")
-	for _, kind := range []AlertKind{AlertRegimeShift, AlertChangePoint, AlertStraggler, AlertStragglerCleared, AlertWatchdogStall} {
+	for _, kind := range []AlertKind{AlertChangePoint, AlertStraggler, AlertStragglerCleared, AlertWatchdogStall} {
 		p.with("kind", kind).sample("armbarrier_stream_alerts_total", s.Counts[kind.String()])
 	}
 	return p.flush(w)
@@ -155,8 +146,8 @@ func RenderTimeline(s StreamSnapshot, width int) string {
 		width = 72
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "timeline %s: %d windows of %v, regime %s\n",
-		s.Barrier, len(s.Windows), time.Duration(s.WindowNs), s.Regime)
+	fmt.Fprintf(&b, "timeline %s: %d windows of %v\n",
+		s.Barrier, len(s.Windows), time.Duration(s.WindowNs))
 	wins := s.Windows
 	if len(wins) > width {
 		wins = wins[len(wins)-width:]

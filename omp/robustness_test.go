@@ -21,7 +21,6 @@ func robustnessPolicies() map[string]barrier.WaitPolicy {
 		"spin":      barrier.SpinWait(),
 		"spinyield": barrier.SpinYieldWait(),
 		"spinpark":  barrier.SpinParkWait(),
-		"adaptive":  barrier.AdaptiveWait(),
 	}
 }
 

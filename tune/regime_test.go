@@ -1,7 +1,6 @@
 package tune
 
 import (
-	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -10,7 +9,6 @@ import (
 
 func TestRegimeString(t *testing.T) {
 	cases := map[Regime]string{
-		RegimeUnknown:        "unknown",
 		RegimeDedicated:      "dedicated",
 		RegimeOversubscribed: "oversubscribed",
 		Regime(200):          "unknown",
@@ -19,38 +17,6 @@ func TestRegimeString(t *testing.T) {
 		if got := r.String(); got != want {
 			t.Errorf("Regime(%d).String() = %q, want %q", r, got, want)
 		}
-	}
-}
-
-func TestParseRegimeRoundTrip(t *testing.T) {
-	for _, r := range []Regime{RegimeUnknown, RegimeDedicated, RegimeOversubscribed} {
-		got, err := ParseRegime(r.String())
-		if err != nil {
-			t.Fatalf("ParseRegime(%q): %v", r, err)
-		}
-		if got != r {
-			t.Errorf("ParseRegime(%q) = %v, want %v", r.String(), got, r)
-		}
-	}
-	if _, err := ParseRegime("bare-metal"); err == nil {
-		t.Error("ParseRegime accepted an unknown label")
-	}
-}
-
-func TestRegimeJSON(t *testing.T) {
-	buf, err := json.Marshal(RegimeOversubscribed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != `"oversubscribed"` {
-		t.Errorf("marshal = %s, want %q", buf, `"oversubscribed"`)
-	}
-	var back Regime
-	if err := json.Unmarshal(buf, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != RegimeOversubscribed {
-		t.Errorf("round trip = %v", back)
 	}
 }
 
